@@ -8,10 +8,10 @@ seeds give different tables of the same shapes.  Throughput depends far
 more on shapes (columns, rows, tokens) than on values, which keeps the
 spread across seeds small without fixing the inputs.
 
-Quality is scored on *probes* drawn the same way under a constant seed,
-so a score moves only when the program's labels move, never with
-``--seed``.  The ``train`` workload fits on such a fixed corpus as well:
-its held-out scores then compare across runs.
+Quality is scored on one *probe* drawn the same way under a constant
+seed, so a score moves only when the program's labels move, never with
+``--seed``.  The ``train`` workload fits on a fixed corpus as well and
+scores on the same probe, so its scores compare across runs too.
 
 Every table the program sees is new within a run: a table whose content
 repeats an earlier table or column is drawn again with the next sub-seed.
@@ -28,12 +28,14 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.corpus.schemas import ColumnSlot, TableSchema
 from repro.tables import Table
+from repro.types import SEMANTIC_TYPES
 
 #: The served model is ``repro-sato train`` at its defaults (the full Sato
 #: variant, 24 topics, 16 inference sweeps) on ``repro-sato generate`` with
@@ -42,8 +44,13 @@ from repro.tables import Table
 MODEL_CORPUS = ["--n-tables", "160", "--seed", "1701"]
 
 
-#: Seed of the quality probes (see :func:`quality_probe`).
+#: Seed of the quality probe and of the ``train`` corpus.
 QUALITY_SEED = 20200831
+#: The quality probe: this many short multi-column tables, then one-column
+#: tables until every type has :data:`PROBE_SUPPORT` columns (478 tables
+#: and 1131 columns in all).
+PROBE_TABLES = 280
+PROBE_SUPPORT = 10
 
 
 @dataclass(frozen=True)
@@ -119,14 +126,23 @@ def long_shapes(purpose: str, count: int, low: int, high: int) -> list[Shape]:
     return [replace(base[i], n_rows=rows[j]) for j, i in enumerate(order)]
 
 
-def quality_probe(shapes: list[Shape], purpose: str,
-                  seen: set | None = None) -> list[Table]:
-    """Tables with a fixed seed, on which the paper's scores are measured.
+def quality_probe(seen: set | None = None) -> list[Table]:
+    """The tables on which every workload's scores are measured.
 
-    Quality is measured on the same tables in every run, whatever
-    ``--seed`` is, so a score moves only when the program's labels do.
+    They are the same in every run, whatever ``--seed`` is, so a score
+    moves only when the program's labels do.  With over 1000 columns and
+    every type at least :data:`PROBE_SUPPORT` times, one flipped label
+    moves either score by under 0.5% of its value.  Rows stay short (4 to
+    10) to keep the probe cheap, since topic inference costs grow with a
+    table's tokens.
     """
-    return realize(shapes, QUALITY_SEED, purpose, seen)
+    shapes = plan("probe", PROBE_TABLES, singleton_rate=0.0, max_rows=10)
+    support = Counter(t for shape in shapes for t in shape.types)
+    for semantic_type in SEMANTIC_TYPES:
+        for _ in range(PROBE_SUPPORT - support[semantic_type]):
+            rows = shapes[len(shapes) % PROBE_TABLES].n_rows
+            shapes.append(Shape((semantic_type,), rows))
+    return realize(shapes, QUALITY_SEED, "probe", seen)
 
 
 def request_table(table: Table) -> dict:

@@ -110,7 +110,7 @@ class ServerProcess:
             self._stderr.close()
 
     def kill(self) -> None:
-        """Last-resort cleanup on an error path."""
+        """Kill the child if it still runs and close its files; a no-op after :meth:`stop`."""
         if self.process.poll() is None:
             self.process.kill()
             self.process.wait(STOP_TIMEOUT_S)
@@ -197,7 +197,6 @@ def closed_loop(
     n_inputs: int,
     seconds: float,
     clients: int = 2,
-    clock: Callable[[], float] = time.monotonic,
 ) -> LoopResult:
     """Run ``operation(i)`` for i = 0, 1, ... from ``clients`` threads.
 
@@ -205,32 +204,32 @@ def closed_loop(
     completed (a closed loop).  No operation starts after ``seconds``;
     the ones in flight finish and count.  ``operation`` returns
     ``(ok, detail, interval)``: ``interval`` is when the program had the
-    operation, ``(start, end)`` on ``clock``, or None for the whole call.
-    An exception counts as a failure, never as a crash.  Input ``i`` is
-    used once; running out ends the loop early.
+    operation, ``(start, end)`` on ``time.monotonic``, or None for the
+    whole call.  An exception counts as a failure, never as a crash.
+    Input ``i`` is used once; running out ends the loop early.
     """
     result = LoopResult()
     lock = threading.Lock()
     next_index = [0]
-    started = clock()
+    started = time.monotonic()
     deadline = started + seconds
 
     def client() -> None:
         while True:
             with lock:
                 index = next_index[0]
-                if clock() >= deadline:
+                if time.monotonic() >= deadline:
                     return
                 if index >= n_inputs:
                     result.exhausted = True
                     return
                 next_index[0] += 1
-            begin = clock()
+            begin = time.monotonic()
             try:
                 ok, detail, interval = operation(index)
             except Exception as error:  # a failed operation, counted below
                 ok, detail, interval = False, f"{type(error).__name__}: {error}", None
-            start, end = interval if interval is not None else (begin, clock())
+            start, end = interval if interval is not None else (begin, time.monotonic())
             sample = Sample(index, start, end, ok, detail)
             with lock:
                 result.samples.append(sample)

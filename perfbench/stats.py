@@ -73,12 +73,3 @@ def median(values: Sequence[float]) -> float:
         raise ValueError("median of an empty sample")
     return float(statistics.median(values))
 
-
-def quartile_spread(values: Sequence[float]) -> float:
-    """Inter-quartile distance as a share of the median.
-
-    The same quartiles as ``statistics.quantiles(values, n=4)``, which is
-    how run-to-run spread is judged across seeds.
-    """
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return (q3 - q1) / q2 if q2 else math.inf

@@ -1,7 +1,6 @@
 """Percentiles and the sample-count rule."""
 
 import math
-import statistics
 
 import pytest
 
@@ -9,7 +8,6 @@ from perfbench.stats import (
     beyond,
     describe,
     percentile,
-    quartile_spread,
     supported,
 )
 
@@ -47,12 +45,6 @@ def test_samples_beyond_a_percentile():
 def test_describe_flags_unsupported_percentiles_and_states_the_count():
     text = describe([float(i) for i in range(30)], [0.5, 0.9])
     assert text == "p50=14.00 p90=26.00(unsupported, 3 beyond) n=30"
-
-
-def test_quartile_spread_matches_statistics_quantiles():
-    values = [10.0, 11.0, 9.0, 10.5, 9.5, 10.2, 9.8, 10.1, 9.9, 10.3]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    assert quartile_spread(values) == pytest.approx((q3 - q1) / q2)
 
 
 def test_empty_samples_are_refused():
