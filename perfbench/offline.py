@@ -2,8 +2,8 @@
 
 ``python -u perfbench/offline.py JOB.json`` runs ``annotate_bulk`` or
 ``train`` as the job file describes and writes a result file next to it:
-set-up times, one record per operation, the process's peak RSS, and (when
-traced) the spans.  A process of its own keeps the benchmark's input
+set-up times, one record per operation, the reference-piece timings, the
+process's peak RSS, and (when traced) the spans.  A process of its own keeps the benchmark's input
 generation out of the peak-memory figure.
 
 * ``annotate_bulk`` follows the path ``repro-sato annotate`` drives: an
@@ -15,7 +15,8 @@ generation out of the peak-memory figure.
 
 Each pass over the directory, and each fit, starts with a set-up of its
 own, as one ``repro-sato`` command would, so the set-up times sample the
-whole run rather than its first instant.
+whole run rather than its first instant.  Reference pieces are timed
+before and after every set-up, file and fit (see ``perfbench.hostspeed``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from perfbench.hostspeed import HostSpeed
 from perfbench.layers import ANNOTATE, INGEST_READ, TRAIN
 from perfbench.serve import peak_rss_mb
 from perfbench.trace import Recorder, install
@@ -37,15 +39,16 @@ from repro.serving.bundle import model_fingerprint
 from repro.tables import tables_from_jsonl
 
 
-def timed(setups: list[float], set_up):
-    """Call ``set_up`` and append its duration to ``setups``."""
+def timed(setups: list[float], set_up, host: HostSpeed):
+    """Call ``set_up``, append its duration to ``setups``, then sample ``host``."""
     started = time.monotonic()
     result = set_up()
     setups.append(time.monotonic() - started)
+    host.sample()
     return result
 
 
-def annotate(job: dict, recorder) -> dict:
+def annotate(job: dict, recorder, host: HostSpeed) -> dict:
     setups: list[float] = []
 
     def set_up() -> StreamingAnnotator:
@@ -68,10 +71,11 @@ def annotate(job: dict, recorder) -> dict:
         return rows
 
     # The quality probe goes first; it also warms the path up.
-    annotator = timed(setups, set_up)
+    annotator = timed(setups, set_up, host)
     with open(job["probe_records"], "w", encoding="utf-8") as out:
         for path in job["probe_files"]:
             annotate_file(annotator, Path(path), out)
+    host.sample()
     files = [Path(path) for path in job["files"]]
     ops = []
     deadline = time.monotonic() + job["seconds"]
@@ -79,16 +83,17 @@ def annotate(job: dict, recorder) -> dict:
     # the others whatever the speed.
     with open(job["records"], "w", encoding="utf-8") as out:
         while not ops or time.monotonic() < deadline:
-            annotator = timed(setups, set_up)
+            annotator = timed(setups, set_up, host)
             for index, path in enumerate(files):
                 started = time.monotonic()
                 rows = annotate_file(annotator, path, out)
                 ops.append({"input": index, "start": started,
                             "end": time.monotonic(), "rows": rows})
+                host.sample()
     return {"setup_s": setups, "ops": ops}
 
 
-def train(job: dict, recorder) -> dict:
+def train(job: dict, recorder, host: HostSpeed) -> dict:
     setups: list[float] = []
 
     def set_up():
@@ -98,11 +103,12 @@ def train(job: dict, recorder) -> dict:
     ops = []
     deadline = time.monotonic() + job["seconds"]
     while not ops or time.monotonic() < deadline:
-        training, held_out = timed(setups, set_up)
+        training, held_out = timed(setups, set_up, host)
         started = time.monotonic()
         model = build().fit(training)
         ops.append({"input": 0, "start": started, "end": time.monotonic(),
                     "fingerprint": model_fingerprint(model)})
+        host.sample()
     return {"setup_s": setups, "ops": ops,
             "labels": model.predict_tables(held_out)}
 
@@ -117,8 +123,11 @@ def main(argv: list[str]) -> int:
     if job["trace"]:
         recorder = Recorder()
         install(recorder, ANNOTATE if job["workload"] == "annotate_bulk" else TRAIN)
-    result = WORKLOADS[job["workload"]](job, recorder)
+    host = HostSpeed()
+    host.sample()
+    result = WORKLOADS[job["workload"]](job, recorder, host)
     result["peak_rss_mb"] = peak_rss_mb()
+    result["host"] = host.samples
     if recorder is not None:
         recorder.dump(job["spans"])
     Path(job["result"]).write_text(json.dumps(result))

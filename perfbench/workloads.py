@@ -2,7 +2,9 @@
 
 Each ``run_*`` function returns an :class:`Outcome`: the end-to-end
 metrics of an untraced run, or, for ``--trace 1``, the per-layer metrics
-of a traced run measured after an untraced one.
+of a traced run measured after an untraced one.  The offline workloads'
+timings are scaled to the reference speed of ``perfbench.hostspeed``;
+serving timings are reported as measured.
 """
 
 from __future__ import annotations
@@ -10,11 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import random
+import statistics
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
 from perfbench import inputs
+from perfbench.hostspeed import HostSpeed
 from perfbench.layers import layer_metrics, unit
 from perfbench.serve import (
     LoopResult,
@@ -555,34 +559,37 @@ def run_annotate(ctx: Context) -> Outcome:
             f"{'matches' if parity else 'DIFFERS from'} an in-process Predictor")
     correct = parity and not failures
 
-    def fastest_ms(run) -> list[float]:
-        """Each file's time at its fastest pass.
+    def file_ms(run) -> list[float]:
+        """Each file's mean time over the passes, at the reference speed.
 
-        The host's speed drifts by about a quarter between half-minutes; the
-        fastest of several timings of the same work is the steadiest
-        estimate of its cost, as with ``timeit``.
+        The mean, like the host's speed (the mean reference piece), averages
+        over the host's fast and slow moments, so the two match.
         """
+        host = HostSpeed(run["host"])
         times: dict[int, list[float]] = {}
         for op in run["ops"]:
             times.setdefault(op["input"], []).append((op["end"] - op["start"]) * 1e3)
-        return [min(each) for each in times.values()]
+        return [host.scale(statistics.fmean(each)) for each in times.values()]
 
     rows = sum(len(table.columns[0].values) for table in tables)
 
     def rows_per_s(run) -> float:
-        return rows * 1e3 / sum(fastest_ms(run))
+        return rows * 1e3 / sum(file_ms(run))
 
     if ctx.trace:
         return offline_layers(ctx, runs, rows_per_s, attempted, len(failures), correct)
     ops = result["ops"]
     weighted, macro = scores(probe, probe_labels)
-    ctx.log(f"setup_s samples: {', '.join(f'{s:.4f}' for s in result['setup_s'])}; "
+    host = HostSpeed(result["host"])
+    ctx.log(host.summary())
+    ctx.log(f"setup_s samples (unscaled): "
+            f"{', '.join(f'{s:.4f}' for s in result['setup_s'])}; "
             f"{len(ops) // len(tables)} passes over the directory")
     metrics = {
-        "setup_s": median(result["setup_s"]),
-        "tables_per_s": len(tables) * 1e3 / sum(fastest_ms(result)),
+        "setup_s": host.scale(median(result["setup_s"])),
+        "tables_per_s": len(tables) * 1e3 / sum(file_ms(result)),
         "rows_per_s": rows_per_s(result),
-        **timing_metrics(fastest_ms(result), ctx, "file"),
+        **timing_metrics(file_ms(result), ctx, "file"),
         "peak_rss_mb": result["peak_rss_mb"],
         "weighted_f1": weighted,
         "macro_f1": macro,
@@ -625,24 +632,31 @@ def run_train(ctx: Context) -> Outcome:
             raise CheckError(f"held-out labels: {problems[:1]}")
     correct = not failures
 
+    def fit_s(run) -> list[float]:
+        host = HostSpeed(run["host"])
+        return [host.scale(op["end"] - op["start"]) for op in run["ops"]]
+
     def fits_per_s(run):
-        return 1.0 / median([op["end"] - op["start"] for op in run["ops"]])
+        return 1.0 / median(fit_s(run))
 
     if ctx.trace:
         return offline_layers(ctx, runs, fits_per_s, attempted, len(failures), correct)
     ops = result["ops"]
-    fit_s = [op["end"] - op["start"] for op in ops]
-    train_s = median(fit_s)
+    fits = fit_s(result)
+    train_s = median(fits)
     rows = sum(len(table.columns[0].values) for table in training)
     weighted, macro = scores(held_out, result["labels"])
+    host = HostSpeed(result["host"])
+    ctx.log(host.summary())
     ctx.log(f"train_s: {train_s:.4f} s (median of {len(ops)} fits: "
-            f"{', '.join(f'{s:.3f}' for s in fit_s)})")
-    ctx.log(f"setup_s samples: {', '.join(f'{s:.4f}' for s in result['setup_s'])}")
+            f"{', '.join(f'{s:.3f}' for s in fits)})")
+    ctx.log(f"setup_s samples (unscaled): "
+            f"{', '.join(f'{s:.4f}' for s in result['setup_s'])}")
     metrics = {
-        "setup_s": median(result["setup_s"]),
+        "setup_s": host.scale(median(result["setup_s"])),
         "tables_per_s": len(training) / train_s,
         "rows_per_s": rows / train_s,
-        **timing_metrics([s * 1e3 for s in fit_s], ctx, "fit"),
+        **timing_metrics([s * 1e3 for s in fits], ctx, "fit"),
         "peak_rss_mb": result["peak_rss_mb"],
         "weighted_f1": weighted,
         "macro_f1": macro,
