@@ -1,4 +1,4 @@
-"""Featurization throughput: loop vs vectorized vs sharded, cold and warm.
+"""Featurization throughput: loop vs vectorized, cold and warm.
 
 Per-column featurization is the serving bottleneck (Table 2 of the paper),
 so its throughput is a tracked number, not a claim: this benchmark measures
@@ -7,12 +7,10 @@ columns/sec for
 * the ``loop`` oracle backend (per-value Python),
 * the ``vectorized`` backend, cold (fresh engine, empty codepoint/token
   memos) and warm (steady-state serving),
-* the sharded vectorized backend (``workers=4``), cold (includes process
-  pool spin-up) and warm,
 
-verifies loop/vectorized parity and shard bit-identity on the same batch,
-and persists both a human-readable report and a machine-readable JSON
-(uploaded as a CI artifact) under ``benchmarks/results/``.
+verifies loop/vectorized parity on the same batch, and persists both a
+human-readable report and a machine-readable JSON (uploaded as a CI
+artifact) under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from repro.features import ColumnFeaturizer
 #: The tentpole acceptance bar: warm vectorized throughput must be at least
 #: this many times the loop backend's on the synthetic corpus.
 MIN_VECTORIZED_SPEEDUP = 3.0
-
-SHARD_WORKERS = 4
 
 #: Replicate the corpus columns so every timing covers a serving-sized batch.
 MIN_COLUMNS = 2000
@@ -63,13 +59,7 @@ def _throughput_comparison(config) -> dict:
     cold_seconds, vectorized_matrix = _timed(featurizer, columns)
     warm_seconds, _ = _timed(featurizer, columns)
 
-    featurizer.set_backend("vectorized", workers=SHARD_WORKERS)
-    shard_cold_seconds, sharded_matrix = _timed(featurizer, columns)
-    shard_warm_seconds, _ = _timed(featurizer, columns)
-    featurizer.close()  # shut the worker pool down
-
     assert np.allclose(vectorized_matrix, loop_matrix, rtol=1e-6, atol=1e-9)
-    assert np.array_equal(vectorized_matrix, sharded_matrix)
 
     def rate(seconds: float) -> float:
         return n_columns / max(seconds, 1e-9)
@@ -86,19 +76,8 @@ def _throughput_comparison(config) -> dict:
             "seconds": warm_seconds,
             "columns_per_sec": rate(warm_seconds),
         },
-        "sharded_cold": {
-            "seconds": shard_cold_seconds,
-            "columns_per_sec": rate(shard_cold_seconds),
-            "workers": SHARD_WORKERS,
-        },
-        "sharded_warm": {
-            "seconds": shard_warm_seconds,
-            "columns_per_sec": rate(shard_warm_seconds),
-            "workers": SHARD_WORKERS,
-        },
         "speedup_vectorized_cold": loop_seconds / max(cold_seconds, 1e-9),
         "speedup_vectorized_warm": loop_seconds / max(warm_seconds, 1e-9),
-        "speedup_sharded_warm": loop_seconds / max(shard_warm_seconds, 1e-9),
     }
 
 
@@ -112,15 +91,12 @@ def test_featurization_throughput(benchmark, config):
         )
 
     lines = [
-        "Featurization throughput: loop vs vectorized vs sharded "
+        "Featurization throughput: loop vs vectorized "
         f"({result['n_columns']} columns x {result['n_features']} features)",
         line("loop", result["loop"]),
         line("vectorized cold", result["vectorized_cold"]),
         line("vectorized warm", result["vectorized_warm"]),
-        line(f"sharded x{SHARD_WORKERS} cold", result["sharded_cold"]),
-        line(f"sharded x{SHARD_WORKERS} warm", result["sharded_warm"]),
-        f"  speedup (warm)  : {result['speedup_vectorized_warm']:.1f}x vectorized, "
-        f"{result['speedup_sharded_warm']:.1f}x sharded",
+        f"  speedup (warm)  : {result['speedup_vectorized_warm']:.1f}x vectorized",
     ]
     emit("featurization_throughput", "\n".join(lines))
     emit_json("featurization_throughput", result)

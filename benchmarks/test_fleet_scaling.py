@@ -42,8 +42,8 @@ import pytest
 from conftest import emit, emit_json, run_once
 
 from repro.experiments.pipeline import build_corpus, make_model_factories
+from repro.obs.trace import _percentile
 from repro.serving import ServingFleet, save_model
-from repro.serving.scheduler import _percentile
 
 #: The tentpole acceptance bar: 4 workers must serve at least this many
 #: times the single-worker columns/sec on identical closed-loop load.

@@ -7,7 +7,7 @@ Subcommands::
                          --split-out suite.split.json
     repro-sato train     --corpus corpus.jsonl --out model/
     repro-sato predict   --model model/ --csv mytable.csv \
-                         --feature-backend vectorized --workers 4
+                         --feature-backend vectorized
     repro-sato annotate  data/ --model model/ --out schemas.jsonl
     repro-sato annotate  warehouse.sqlite --registry registry/ \
                          --model-name sato --chunk-rows 8192
@@ -487,13 +487,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         help="featurization backend: vectorized array ops (default) or the "
         "per-value Python reference loop",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard featurization batches across N worker processes "
-        "(vectorized backend only; 0 = in-process)",
-    )
 
 
 def _add_model_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -574,7 +567,7 @@ def _build_variant(variant: str, epochs: int):
 def _cmd_train(args: argparse.Namespace) -> int:
     tables = tables_from_jsonl(args.corpus)
     model = _build_variant(args.variant, args.epochs)
-    model.set_feature_backend(args.feature_backend, args.workers)
+    model.set_feature_backend(args.feature_backend)
     started = time.perf_counter()
     model.fit(tables)
     elapsed = time.perf_counter() - started
@@ -703,7 +696,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             predictor = Predictor.from_bundle(
                 args.model,
                 feature_backend=args.feature_backend,
-                workers=args.workers,
                 model_backend=args.model_backend,
                 sketch_store=args.sketch_store,
                 sketch_sample_rows=args.sketch_sample_rows,
@@ -715,7 +707,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         variant = "Sato" if args.variant is None else args.variant
         epochs = 15 if args.epochs is None else args.epochs
         model = _build_variant(variant, epochs)
-        model.set_feature_backend(args.feature_backend, args.workers)
+        model.set_feature_backend(args.feature_backend)
         model.fit(tables_from_jsonl(args.corpus))
         predictor = Predictor(
             model,
@@ -912,7 +904,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     version=args.model_version,
                     cache_size=args.cache_size,
                     feature_backend=args.feature_backend,
-                    workers=args.workers,
                     model_backend=args.model_backend,
                     sketch_store=args.sketch_store,
                     sketch_sample_rows=args.sketch_sample_rows,
@@ -949,7 +940,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     args.model,
                     cache_size=args.cache_size,
                     feature_backend=args.feature_backend,
-                    workers=args.workers,
                     model_backend=args.model_backend,
                     sketch_store=args.sketch_store,
                     sketch_sample_rows=args.sketch_sample_rows,
@@ -1060,7 +1050,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         predictor = Predictor.from_bundle(
             args.model,
             feature_backend=args.feature_backend,
-            workers=args.workers,
             model_backend=args.model_backend,
         )
     except BundleFormatError as error:

@@ -45,7 +45,6 @@ class ExperimentConfig:
     word_dim: int = 24
     para_dim: int = 16
     feature_backend: str = "vectorized"
-    feature_workers: int = 0
 
     # Batch inference (structured decode backend; see docs/performance.md)
     model_backend: str = "batched"

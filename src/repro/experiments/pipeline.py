@@ -80,7 +80,6 @@ def _featurizer(config: ExperimentConfig) -> ColumnFeaturizer:
         para_dim=config.para_dim,
         seed=config.seed,
         backend=config.feature_backend,
-        workers=config.feature_workers,
     )
 
 

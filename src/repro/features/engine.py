@@ -1,4 +1,4 @@
-"""Vectorized, shardable featurization backend (the serving hot path).
+"""Vectorized featurization backend (the serving hot path).
 
 The loop backend featurizes one column and one value at a time in pure
 Python; Table 2 of the paper shows featurization dominating serving cost.
@@ -17,12 +17,7 @@ This module replaces those per-value loops with NumPy array operations over
 
 The loop backend (``char_features`` / ``column_statistics`` /
 ``ColumnFeaturizer._raw_features``) stays as the oracle: every batched
-function here is tested ``allclose`` against it.  On top of the in-process
-engine, :class:`VectorizedEngine` offers an optional ``workers=N``
-process-pool sharding mode that partitions the columns of a batch across
-workers and reassembles the feature matrix in stable input order — per
-column the computation is independent and deterministic, so worker count
-never changes a single bit of the output.
+function here is tested ``allclose`` against it.
 
 Examples:
     >>> import numpy as np
@@ -35,7 +30,6 @@ Examples:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -484,7 +478,7 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
     # ---- one Python pass over kept values: numeric parse + value interning.
     # Interning restarts per column (ids ordered by first occurrence within
     # the column), so downstream reductions are independent of which other
-    # columns share the batch — the property that makes sharding bit-stable.
+    # columns share the batch.
     parsed = np.full(n_values_total, np.nan, dtype=np.float64)
     keep_indices = np.nonzero(keep)[0]
     values = batch.values
@@ -595,7 +589,7 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# The engine: full feature matrix + optional process-pool sharding
+# The engine: full feature matrix
 # --------------------------------------------------------------------------
 
 
@@ -607,11 +601,6 @@ class VectorizedEngine:
     pass and one pooled embedding gather (Word + Para groups).  The engine
     memoizes token lookups and codepoint properties across calls, so
     steady-state serving traffic skips all per-token dictionary churn.
-
-    When the owning featurizer's ``workers`` is greater than 1, batches are
-    partitioned into contiguous column shards, featurized in a persistent
-    process pool and reassembled in stable input order.  Per-column results
-    are bit-identical for every worker count.
 
     Examples:
         >>> import numpy as np
@@ -634,30 +623,9 @@ class VectorizedEngine:
     def __init__(self, featurizer: "ColumnFeaturizer") -> None:
         self.featurizer = featurizer
         self._token_memo: dict[str, tuple[int, float]] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers = 0
-
-    # ---------------------------------------------------------------- public
 
     def transform(self, columns: Sequence["Column"]) -> np.ndarray:
-        """Raw feature matrix for a batch of columns, sharding if configured."""
-        workers = int(getattr(self.featurizer, "workers", 0) or 0)
-        if workers > 1 and len(columns) >= 2 * workers:
-            return self._transform_sharded(columns, workers)
-        return self._transform_inline(columns)
-
-    def close(self) -> None:
-        """Shut down the worker pool (if any); the engine stays usable."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_workers = 0
-
-    # ---------------------------------------------------------------- single
-
-    def _transform_inline(
-        self, columns: Sequence["Column"], project_para: bool = True
-    ) -> np.ndarray:
+        """Raw (unstandardized) feature matrix for a batch of columns."""
         value_lists = [column.values for column in columns]
         # Kernel-level spans: the codepoint pass, the scalar stats block and
         # the embedding gathers are the candidates for compiled backends, so
@@ -668,9 +636,7 @@ class VectorizedEngine:
         with span("featurize.stats"):
             stat_block = _stats_block(batch)
         with span("featurize.embed"):
-            word_block, para_block = self._embedding_block(
-                value_lists, project=project_para
-            )
+            word_block, para_block = self._embedding_block(value_lists)
         return np.concatenate([char_block, word_block, para_block, stat_block], axis=1)
 
     def _token_info(self, token: str) -> tuple[int, float]:
@@ -687,7 +653,7 @@ class VectorizedEngine:
         return info
 
     def _embedding_block(
-        self, value_lists: Sequence[Sequence[str]], project: bool = True
+        self, value_lists: Sequence[Sequence[str]]
     ) -> tuple[np.ndarray, np.ndarray]:
         featurizer = self.featurizer
         n_cols = len(value_lists)
@@ -762,73 +728,6 @@ class VectorizedEngine:
             para_raw = _safe_divide(para_sums, total_weight[:, None])
 
         projection = featurizer.paragraph_embedder.projection
-        if projection is None or not project:
+        if projection is None:
             return word, para_raw
         return word, (para_raw @ projection).astype(np.float64, copy=False)
-
-    # --------------------------------------------------------------- sharded
-
-    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        if self._pool is not None and self._pool_workers == workers:
-            return self._pool
-        self.close()
-        config = dict(self.featurizer.config_dict())
-        config["workers"] = 0  # shards must never recurse into sharding
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_shard_init,
-            initargs=(config, self.featurizer.state_dict()),
-        )
-        self._pool_workers = workers
-        return self._pool
-
-    def _transform_sharded(
-        self, columns: Sequence["Column"], workers: int
-    ) -> np.ndarray:
-        pool = self._ensure_pool(workers)
-        boundaries = np.linspace(0, len(columns), workers + 1, dtype=np.int64)
-        shards = [
-            list(columns[start:stop])
-            for start, stop in zip(boundaries[:-1], boundaries[1:])
-            if stop > start
-        ]
-        futures = [pool.submit(_shard_transform, shard) for shard in shards]
-        # Concatenating in submission order keeps the stable input order.
-        matrix = np.concatenate([future.result() for future in futures], axis=0)
-        projection = self.featurizer.paragraph_embedder.projection
-        if projection is None:
-            return matrix
-        # Shards return the Para group unprojected; applying one projection
-        # matmul over the reassembled batch keeps the BLAS call shape — and
-        # therefore every output bit — independent of the worker count.
-        n_char = len(CHAR_FEATURE_NAMES)
-        word_dim = self.featurizer.word_model.dim
-        para_start = n_char + word_dim
-        para = matrix[:, para_start : para_start + word_dim] @ projection
-        return np.concatenate(
-            [matrix[:, :para_start], para, matrix[:, para_start + word_dim :]],
-            axis=1,
-        )
-
-
-_WORKER_FEATURIZER = None
-
-
-def _shard_init(config: dict, state: dict) -> None:
-    """Process-pool initializer: rebuild the fitted featurizer once per worker."""
-    from repro.features.featurizer import ColumnFeaturizer
-
-    global _WORKER_FEATURIZER
-    featurizer = ColumnFeaturizer(**config)
-    featurizer.load_state_dict(state)
-    _WORKER_FEATURIZER = featurizer
-
-
-def _shard_transform(columns: list) -> np.ndarray:
-    """Featurize one contiguous shard of columns inside a worker process.
-
-    The Para group is returned unprojected; the parent process projects the
-    whole reassembled batch in one matmul (see ``_transform_sharded``).
-    """
-    assert _WORKER_FEATURIZER is not None, "worker pool was not initialized"
-    return _WORKER_FEATURIZER.engine._transform_inline(columns, project_para=False)

@@ -87,11 +87,6 @@ class ColumnFeaturizer:
         array ops via :class:`~repro.features.engine.VectorizedEngine`) or
         ``"loop"`` (the per-value Python reference implementation, kept as
         the parity oracle).
-    workers:
-        When > 1 and the backend is ``"vectorized"``, large batches are
-        partitioned into contiguous column shards featurized by a process
-        pool and reassembled in stable input order.  ``0``/``1`` featurize
-        in-process.
     """
 
     BACKENDS = ("loop", "vectorized")
@@ -105,12 +100,9 @@ class ColumnFeaturizer:
         min_token_count: int = 2,
         seed: int = 0,
         backend: str = "vectorized",
-        workers: int = 0,
     ) -> None:
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown feature backend {backend!r}")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.word_dim = word_dim
         self.para_dim = para_dim
         self.max_tokens_per_column = max_tokens_per_column
@@ -118,7 +110,6 @@ class ColumnFeaturizer:
         self.min_token_count = min_token_count
         self.seed = seed
         self.backend = backend
-        self.workers = workers
         self.word_model = WordEmbeddingModel(
             dim=word_dim, min_count=min_token_count, seed=seed
         )
@@ -199,7 +190,7 @@ class ColumnFeaturizer:
         ``sample_rows`` bounds accumulation to each column's first N
         values (the fingerprint still covers the full content).
         """
-        self._reset_engine()
+        self._engine = None
         self._sketch_section = None
         accumulators = []
         if sketch_store is None and sample_rows is None:
@@ -302,40 +293,22 @@ class ColumnFeaturizer:
             self._engine = VectorizedEngine(self)
         return self._engine
 
-    def _reset_engine(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-
-    def close(self) -> None:
-        """Release engine resources (worker pool, memos).
-
-        Safe to call at any time: the featurizer stays fully usable and
-        rebuilds its engine (and pool) lazily on the next transform.
-        """
-        self._reset_engine()
-
-    def runtime_clone(
-        self, backend: str | None = None, workers: int | None = None
-    ) -> "ColumnFeaturizer":
+    def runtime_clone(self, backend: str | None = None) -> "ColumnFeaturizer":
         """A copy with independent runtime settings but shared fitted state.
 
         The clone aliases the (immutable once fitted) embedding substrate
-        and standardiser arrays, but owns its backend/workers settings and
-        its engine (memos, worker pool), so reconfiguring or closing it
-        never affects the original — every :class:`~repro.serving.Predictor`
-        serves through its own clone.
+        and standardiser arrays, but owns its backend setting and its engine
+        (memos), so reconfiguring it never affects the original — every
+        :class:`~repro.serving.Predictor` serves through its own clone.
         """
         clone = copy.copy(self)
         clone._engine = None
-        if backend is not None or workers is not None:
-            clone.set_backend(backend or clone.backend, workers)
+        if backend is not None:
+            clone.set_backend(backend)
         return clone
 
-    def set_backend(
-        self, backend: str, workers: int | None = None
-    ) -> "ColumnFeaturizer":
-        """Switch the featurization backend (and optionally the worker count).
+    def set_backend(self, backend: str) -> "ColumnFeaturizer":
+        """Switch the featurization backend.
 
         The backend is runtime behaviour, not fitted state: switching never
         invalidates the embedding substrate or the standardiser, and the two
@@ -346,10 +319,6 @@ class ColumnFeaturizer:
         self.backend = backend
         # Sketch sections are keyed by producer (= backend): re-resolve.
         self._sketch_section = None
-        if workers is not None:
-            if workers < 0:
-                raise ValueError("workers must be >= 0")
-            self.workers = workers
         return self
 
     def set_sketch_store(
@@ -562,7 +531,7 @@ class ColumnFeaturizer:
 
         All columns of all tables are featurized in a single batched
         :meth:`transform_columns` call, so the training path goes through
-        the same vectorized (and optionally sharded) code as serving.
+        the same vectorized code as serving.
         """
         columns: list[Column] = []
         labels: list[str | None] = []
@@ -595,10 +564,6 @@ class ColumnFeaturizer:
             "min_token_count": self.min_token_count,
             "seed": self.seed,
             "backend": self.backend,
-            # The worker count is deployment configuration, not model
-            # configuration: a bundle trained with --workers 8 must not
-            # silently spawn an 8-process pool on whatever box loads it.
-            "workers": 0,
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -617,7 +582,7 @@ class ColumnFeaturizer:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore state produced by :meth:`state_dict`."""
-        self._reset_engine()
+        self._engine = None
         self._sketch_section = None
         self.word_model.load_state_dict(
             {k[len("word."):]: v for k, v in state.items() if k.startswith("word.")}

@@ -35,7 +35,7 @@ Design points:
   truncates the log back to the last good record and carries on.  A bad
   store can cost recomputation, never correctness and never a crash.
 
-The store assumes a single writer process (the fleet's prefork workers
+The store assumes a single writer process (the prefork fleet's processes
 must not share one store directory; concurrent appends would interleave
 records).
 
@@ -135,7 +135,10 @@ class ColumnFingerprinter:
     Produces the exact same digest as :func:`values_fingerprint` over the
     concatenated values (and therefore the same fingerprint the serving
     predictor computes): each value is length-prefixed so value
-    boundaries are unambiguous across chunk boundaries.
+    boundaries are unambiguous across chunk boundaries.  Values are
+    UTF-8 encoded with ``surrogatepass``, so a lone surrogate (valid in
+    JSON) hashes instead of raising, and every other string hashes
+    exactly as under plain UTF-8.
     """
 
     __slots__ = ("_digest",)
@@ -147,7 +150,7 @@ class ColumnFingerprinter:
         """Fold a batch of values into the running digest."""
         digest = self._digest
         for value in values:
-            encoded = value.encode("utf-8")
+            encoded = value.encode("utf-8", "surrogatepass")
             digest.update(len(encoded).to_bytes(4, "little"))
             digest.update(encoded)
         return self

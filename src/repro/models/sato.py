@@ -120,13 +120,13 @@ class SatoModel(ColumnModel):
         """The single-column Base model wrapped in the Sato interface."""
         return cls(config=SatoConfig(use_topic=False, use_struct=False, **kwargs))
 
-    def set_feature_backend(self, backend: str, workers: int | None = None) -> "SatoModel":
+    def set_feature_backend(self, backend: str) -> "SatoModel":
         """Switch the column featurization backend for training and serving.
 
         Delegates to the column model's featurizer; see
         :meth:`repro.features.featurizer.ColumnFeaturizer.set_backend`.
         """
-        self.column_model.set_feature_backend(backend, workers)
+        self.column_model.set_feature_backend(backend)
         return self
 
     def set_model_backend(self, backend: str) -> "SatoModel":

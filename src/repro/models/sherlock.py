@@ -53,16 +53,14 @@ class SherlockModel(ColumnModel):
             )
         return specs
 
-    def set_feature_backend(
-        self, backend: str, workers: int | None = None
-    ) -> "SherlockModel":
-        """Switch the featurization backend (loop / vectorized [+ workers]).
+    def set_feature_backend(self, backend: str) -> "SherlockModel":
+        """Switch the featurization backend (loop / vectorized).
 
         Purely a runtime-performance knob: both backends produce the same
         features to floating-point round-off, so it is safe to train with
         one and serve with the other.
         """
-        self.featurizer.set_backend(backend, workers)
+        self.featurizer.set_backend(backend)
         return self
 
     def split_features(self, features: np.ndarray) -> dict[str, np.ndarray]:

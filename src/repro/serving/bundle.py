@@ -174,7 +174,11 @@ def _read_manifest(path: Path) -> dict:
 def _build_column_model(column_config: dict) -> SherlockModel:
     """Rebuild an unfitted column model from its ``config_dict``."""
     training = TrainingConfig(**column_config["training"])
-    featurizer = ColumnFeaturizer(**column_config["featurizer"])
+    featurizer_config = dict(column_config["featurizer"])
+    # Bundles written while the featurizer had a process pool carry a
+    # ``"workers": 0`` entry; the pool is gone, so the key is dropped.
+    featurizer_config.pop("workers", None)
+    featurizer = ColumnFeaturizer(**featurizer_config)
     model_type = column_config.get("type")
     if model_type == "TopicAwareModel":
         intent_config = column_config["intent"]

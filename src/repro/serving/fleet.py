@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from repro.features.sketchstore import combine_fingerprints
 from repro.obs import get_tracer
 from repro.serving.predictor import Predictor, column_fingerprint
 from repro.serving.scheduler import (
@@ -64,7 +65,9 @@ from repro.serving.scheduler import (
     DrainingError,
     QueueFullError,
     ServingMetrics,
-    _percentile,
+    _latency_summary,
+    _Pending,
+    dispatch_batch,
 )
 from repro.serving.shm import (
     default_store_dir,
@@ -105,18 +108,17 @@ class FleetError(RuntimeError):
 
 
 def table_routing_key(table: Table) -> int:
-    """Stable 64-bit routing key from a table's column-content fingerprints.
+    """Stable 64-bit routing key: the first 8 bytes of the table fingerprint.
 
-    Built on the same per-column fingerprints the predictor's feature
-    cache is keyed on, so two requests that would hit the same cache
+    The table fingerprint is the one the predictor's topic cache is keyed
+    on (:func:`~repro.features.sketchstore.combine_fingerprints` over the
+    column fingerprints), so two requests that would hit the same cache
     entries hash to the same key — and therefore (via :class:`HashRing`)
     to the same worker.  Headers and table ids are excluded, exactly like
     the cache keys.
     """
-    digest = hashlib.blake2b(digest_size=8)
-    for column in table.columns:
-        digest.update(bytes.fromhex(column_fingerprint(column)))
-    return int.from_bytes(digest.digest(), "big")
+    fingerprints = [column_fingerprint(column) for column in table.columns]
+    return int(combine_fingerprints(fingerprints)[:16], 16)
 
 
 class HashRing:
@@ -198,9 +200,10 @@ class WorkerSpec:
     metrics_window: int
 
 
-def _frame_context(message: tuple):
-    """Trace context of a predict frame (None for frames that carry none)."""
-    return message[3] if len(message) > 3 else None
+def _pending(message: tuple) -> _Pending:
+    """The queued request of a ``("predict", rid, table, context)`` frame."""
+    _kind, rid, table, context = message
+    return _Pending(table=table, reply=rid, context=context)
 
 
 class _WorkerRuntime:
@@ -247,9 +250,8 @@ class _WorkerRuntime:
             if message[0] != "predict":
                 running = self._handle_control(message)
                 continue
-            received = time.monotonic()
-            batch = [(message[1], message[2], received, _frame_context(message))]
-            deadline = received + self.max_wait
+            batch = [_pending(message)]
+            deadline = batch[0].enqueued_at + self.max_wait
             while len(batch) < self.spec.max_batch_size:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self.conn.poll(remaining):
@@ -262,60 +264,28 @@ class _WorkerRuntime:
                 if companion[0] != "predict":
                     trailing = companion
                     break
-                batch.append(
-                    (
-                        companion[1],
-                        companion[2],
-                        time.monotonic(),
-                        _frame_context(companion),
-                    )
-                )
+                batch.append(_pending(companion))
             self._dispatch(batch)
 
-    def _dispatch(self, batch: list[tuple]) -> None:
+    def _dispatch(self, batch: list[_Pending]) -> None:
         for _ in batch:
             self.metrics.record_admitted()
-        tables = [table for _rid, table, _at, _ctx in batch]
-        tracer = get_tracer()
-        started = time.monotonic()
-        waits = [started - received for _rid, _table, received, _ctx in batch]
-        for wait in waits:
-            self.metrics.record_queue_wait(wait)
-            tracer.observe("queue.wait", wait)
-        # The first traced request anchors the batch: the worker's spans
-        # (worker.batch and everything the predictor opens inside it) are
-        # recorded under that request's propagated context and shipped back
-        # with its reply, so the front end can reassemble one whole trace.
-        anchor = next(
-            (ctx for _rid, _table, _at, ctx in batch if ctx is not None), None
+        outcomes, anchor = dispatch_batch(
+            self.predictor, batch, self.metrics, "worker.batch"
         )
-        token = tracer.attach(anchor)
-        try:
-            with tracer.span("worker.batch", batch_size=len(tables)):
-                results = self.predictor.predict_tables(tables)
-                version = self.predictor.last_batch_version
-        except Exception as error:
-            reason = f"{type(error).__name__}: {error}"
-            for rid, _table, _at, _ctx in batch:
-                self.metrics.record_error()
-                self._send(("err", rid, reason))
-            return
-        finally:
-            tracer.detach(token)
-        seconds = time.monotonic() - started
-        self.metrics.record_batch(
-            n_tables=len(tables),
-            n_columns=sum(table.n_columns for table in tables),
-            seconds=seconds,
-        )
-        spans = tracer.take(anchor[0]) if anchor is not None else []
-        finished = time.monotonic()
-        for (rid, _table, received, ctx), labels, wait in zip(batch, results, waits):
-            self.metrics.record_request(finished - received)
-            info: dict = {"batch_size": len(tables), "queue_wait": wait}
-            if spans and ctx is not None:
-                info["spans"], spans = spans, []
-            self._send(("ok", rid, (labels, version, info)))
+        # The worker's spans (worker.batch and everything the predictor
+        # opens inside it) were recorded under the anchor request's
+        # propagated context; they ride back with the first traced reply,
+        # so the front end can reassemble one whole trace.
+        spans = get_tracer().take(anchor[0]) if anchor is not None else []
+        for pending, outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                reason = f"{type(outcome).__name__}: {outcome}"
+                self._send(("err", pending.reply, reason))
+                continue
+            if spans and pending.context is not None:
+                outcome[2]["spans"], spans = spans, []
+            self._send(("ok", pending.reply, outcome))
 
     def _handle_control(self, message: tuple) -> bool:
         kind, rid, payload = message
@@ -1052,8 +1022,6 @@ class ServingFleet:
                     "predictor": reply["predictor"],
                 }
             )
-        merged.sort()
-        merged_waits.sort()
         return {
             "size": self.n_workers,
             "alive": len(live),
@@ -1070,18 +1038,8 @@ class ServingFleet:
                 "fingerprint": self._fingerprint,
                 "swap_count": self._swap_count,
             },
-            "latency_ms": {
-                "window": len(merged),
-                "p50": _percentile(merged, 0.50) * 1e3,
-                "p95": _percentile(merged, 0.95) * 1e3,
-                "p99": _percentile(merged, 0.99) * 1e3,
-            },
-            "queue_wait_ms": {
-                "window": len(merged_waits),
-                "p50": _percentile(merged_waits, 0.50) * 1e3,
-                "p95": _percentile(merged_waits, 0.95) * 1e3,
-                "p99": _percentile(merged_waits, 0.99) * 1e3,
-            },
+            "latency_ms": _latency_summary(sorted(merged)),
+            "queue_wait_ms": _latency_summary(sorted(merged_waits)),
             "columns_served": total_columns,
             "batches": total_batches,
             "workers": workers,

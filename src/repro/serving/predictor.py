@@ -21,7 +21,6 @@ expensive per-table serving step — LDA inference — from repeat traffic.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import weakref
@@ -135,8 +134,6 @@ class Predictor:
     feature_backend:
         Optional featurization backend override (``"loop"`` or
         ``"vectorized"``) applied to the model's featurizer.
-    workers:
-        Optional process-pool shard count for the vectorized backend.
     model_backend:
         Batch-decode backend: ``"batched"`` (default) decodes every
         CRF-eligible table of a batch in one masked Viterbi pass
@@ -178,7 +175,6 @@ class Predictor:
         model: SatoModel,
         cache_size: int = 4096,
         feature_backend: str | None = None,
-        workers: int | None = None,
         model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
@@ -196,17 +192,16 @@ class Predictor:
         self.model_backend = model_backend
         self.column_model = model.column_model
         self._feature_backend = feature_backend
-        self._workers = workers
         self.sketch_store, self._owns_sketch_store = sketchstore.open_store(
             sketch_store
         )
         self.sketch_sample_rows = sketch_sample_rows
         self._topic_section: str | None = None
-        # A runtime clone shares all fitted state but owns its backend /
-        # worker settings and engine, so two predictors over the same model
-        # (or the model's own training featurizer) never fight over them.
+        # A runtime clone shares all fitted state but owns its backend
+        # setting and engine, so two predictors over the same model (or the
+        # model's own training featurizer) never fight over them.
         self.featurizer = model.column_model.featurizer.runtime_clone(
-            backend=feature_backend, workers=workers
+            backend=feature_backend
         )
         if self.sketch_store is not None or sketch_sample_rows is not None:
             self.featurizer.set_sketch_store(self.sketch_store, sketch_sample_rows)
@@ -244,7 +239,6 @@ class Predictor:
         path,
         cache_size: int = 4096,
         feature_backend: str | None = None,
-        workers: int | None = None,
         model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
@@ -256,7 +250,6 @@ class Predictor:
             load_model(path),
             cache_size=cache_size,
             feature_backend=feature_backend,
-            workers=workers,
             model_backend=model_backend,
             model_name=model_name,
             model_version=model_version,
@@ -271,7 +264,6 @@ class Predictor:
         store_path,
         cache_size: int = 4096,
         feature_backend: str | None = None,
-        workers: int | None = None,
         model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
@@ -291,7 +283,6 @@ class Predictor:
             model,
             cache_size=cache_size,
             feature_backend=feature_backend,
-            workers=workers,
             model_backend=model_backend,
             model_name=model_name,
             model_version=model_version,
@@ -307,7 +298,6 @@ class Predictor:
         version: str | None = None,
         cache_size: int = 4096,
         feature_backend: str | None = None,
-        workers: int | None = None,
         model_backend: str = "batched",
         sketch_store=None,
         sketch_sample_rows: int | None = None,
@@ -322,7 +312,6 @@ class Predictor:
             model,
             cache_size=cache_size,
             feature_backend=feature_backend,
-            workers=workers,
             model_backend=model_backend,
             model_name=info.name,
             model_version=info.version,
@@ -383,11 +372,10 @@ class Predictor:
         fingerprint = model_fingerprint(model)
         with self._swap_lock:
             changed = fingerprint != self.fingerprint
-            old_featurizer = self.featurizer
             self.model = model
             self.column_model = model.column_model
             self.featurizer = model.column_model.featurizer.runtime_clone(
-                backend=self._feature_backend, workers=self._workers
+                backend=self._feature_backend
             )
             if self.sketch_store is not None or self.sketch_sample_rows is not None:
                 # Re-resolve sections lazily: a new substrate hashes to a
@@ -408,10 +396,6 @@ class Predictor:
             self._model_fingerprint = fingerprint
             self._swap_count += 1
             version = self.model_version
-        # Outside the lock: the old featurizer is no longer reachable from
-        # the serving path; releasing its worker pool cannot block a batch.
-        if old_featurizer is not self.featurizer:
-            old_featurizer.close()
         return {
             "version": version,
             "fingerprint": fingerprint,
@@ -470,12 +454,13 @@ class Predictor:
 
         Reuses the per-column memo, so for repeated traffic this is a few
         dict hits and one digest over 16-byte column hashes — no value is
-        re-read.
+        re-read.  The composition is
+        :func:`~repro.features.sketchstore.combine_fingerprints`, shared with
+        ``annotate`` and fleet routing.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        for column in table.columns:
-            digest.update(bytes.fromhex(self._fingerprint(column)))
-        return digest.hexdigest()
+        return sketchstore.combine_fingerprints(
+            [self._fingerprint(column) for column in table.columns]
+        )
 
     def _batch_topics(self, tables: Sequence[Table]) -> np.ndarray | None:
         """Per-column topic matrix for the batch (None for topic-free models).
@@ -533,7 +518,7 @@ class Predictor:
         # The three sequential pipeline stages of a batch: cached/vectorised
         # featurization, table-topic inference, column-network forward.
         # Stage spans land in the trace of whichever request anchors the
-        # batch (see MicroBatcher._dispatch / the fleet worker runtime).
+        # batch (see repro.serving.scheduler.dispatch_batch).
         with span("featurize", n_columns=len(columns)):
             features = self._batch_features(columns)
         with span("topic.infer", n_tables=len(tables)):
@@ -587,16 +572,12 @@ class Predictor:
         return self.predict_tables([table])[0]
 
     def close(self) -> None:
-        """Release featurization resources (worker pool, engine memos).
+        """Release the stores this predictor owns (sketch, shared tensors).
 
-        The predictor stays usable; the engine rebuilds lazily on the next
-        prediction.  Call this when tearing down a server that used
-        ``workers > 1`` so the shard processes exit promptly.  A predictor
-        built from a shared tensor store also unmaps the store — after
-        that, the model's weight views are gone and the predictor must not
-        serve again.
+        A predictor built from a shared tensor store unmaps the store —
+        after that, the model's weight views are gone and the predictor
+        must not serve again.
         """
-        self.featurizer.close()
         if self._owns_sketch_store and self.sketch_store is not None:
             self.sketch_store.close()
         if self.shared_store is not None:

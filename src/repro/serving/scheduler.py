@@ -12,7 +12,7 @@ and dispatched together through one shared
 featurization through structured decode — so the per-call fixed costs are
 amortised across every request that happened to arrive in the same window.
 
-The scheduler also owns the two properties an online system needs that a
+The scheduler also owns the properties an online system needs that a
 library call does not:
 
 * **admission control** — the pending queue is bounded (``max_queue``);
@@ -21,12 +21,15 @@ library call does not:
 * **graceful drain** — :meth:`MicroBatcher.drain` stops admitting new work
   (:class:`DrainingError` → ``503``), serves everything already queued,
   then shuts the dispatch thread down, so a deploy never drops an accepted
-  request.
+  request,
+* **failure isolation** — a batch whose model call raises is split and
+  re-run, so one bad table fails only its own request.
 
 Dispatch runs on a single worker thread (predictions are CPU-bound and the
 :class:`~repro.serving.Predictor` caches are not thread-safe), which keeps
 the asyncio event loop free to answer health checks and admit or reject
-traffic while a batch is being served.
+traffic while a batch is being served.  Everything after coalescing lives
+in :func:`dispatch_batch`, which the fleet's worker processes share.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.obs import SpanContext, get_tracer
+from repro.obs.trace import _percentile
 from repro.tables import Table
 
 __all__ = [
@@ -68,15 +72,6 @@ class DrainingError(RuntimeError):
     """Raised when a request arrives while the scheduler is draining."""
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 for an empty one)."""
-    if not sorted_values:
-        return 0.0
-    position = round(fraction * (len(sorted_values) - 1))
-    rank = min(len(sorted_values) - 1, max(0, position))
-    return sorted_values[rank]
-
-
 def _latency_summary(sorted_values: list[float]) -> dict:
     """The standard window/percentile block for a sorted latency window."""
     return {
@@ -100,12 +95,11 @@ class ServingMetrics:
     All numbers are exposed as one JSON-friendly dictionary by
     :meth:`snapshot` — this is exactly what ``GET /metrics`` returns.
 
-    Recording and snapshotting are thread-safe: in a single-process server
-    everything happens on the event loop, but a fleet front-end records
-    completions from pipe-reader callbacks while worker processes snapshot
-    their own instances concurrently, so every mutation runs under one
-    internal lock (the contended section is a few counter bumps — far too
-    small to show up next to a model forward pass).
+    Recording and snapshotting are thread-safe: :func:`dispatch_batch`
+    records queue waits, batches, completions and errors from the dispatch
+    thread while ``GET /metrics`` snapshots on the event loop, so every
+    mutation runs under one internal lock (the contended section is a few
+    counter bumps — far too small to show up next to a model forward pass).
 
     Examples:
         >>> metrics = ServingMetrics(window=4)
@@ -254,15 +248,96 @@ class ServingMetrics:
 
 @dataclass
 class _Pending:
-    """One admitted request waiting in the micro-batch queue."""
+    """One admitted request waiting for its micro-batch."""
 
     table: Table
-    future: asyncio.Future
+    #: Where the outcome goes: the request's future (:class:`MicroBatcher`)
+    #: or its request id on the worker pipe (fleet worker).
+    reply: object
     enqueued_at: float = field(default_factory=time.monotonic)
     #: Trace context of the submitting request, captured at enqueue so the
-    #: dispatch thread can parent its batch span under the (first)
-    #: request's span even though it runs off the event loop.
+    #: dispatch can parent its batch span under the (first) request's span
+    #: even though it runs off the event loop, or in another process.
     context: SpanContext | None = None
+
+
+def dispatch_batch(
+    predictor, batch: Sequence[_Pending], metrics: ServingMetrics, span_name: str
+) -> tuple[list, SpanContext | None]:
+    """Serve one coalesced batch: the core of every serving loop.
+
+    Records each request's queue wait, runs the batch under a ``span_name``
+    span anchored on the first traced request, and accounts the batch and
+    every request in ``metrics``.  Returns one outcome per request, in
+    order — ``(labels, version, info)`` or the exception that failed it —
+    plus the anchor context the batch's spans were recorded under.
+
+    Synchronous on purpose: :class:`MicroBatcher` runs it on its dispatch
+    thread, a fleet worker straight off its pipe; the callers only deliver
+    the outcomes.
+    """
+    tables = [pending.table for pending in batch]
+    tracer = get_tracer()
+    started = time.monotonic()
+    waits = [started - pending.enqueued_at for pending in batch]
+    for wait in waits:
+        metrics.record_queue_wait(wait)
+        tracer.observe("queue.wait", wait)
+    anchor = next(
+        (pending.context for pending in batch if pending.context is not None), None
+    )
+    token = tracer.attach(anchor)
+    try:
+        with tracer.span(span_name, batch_size=len(tables)):
+            results = _predict_isolated(predictor, tables)
+    finally:
+        tracer.detach(token)
+    finished = time.monotonic()
+    outcomes: list = []
+    served: list[Table] = []
+    for pending, result, wait in zip(batch, results, waits):
+        if isinstance(result, Exception):
+            metrics.record_error()
+            outcomes.append(result)
+            continue
+        served.append(pending.table)
+        metrics.record_request(finished - pending.enqueued_at)
+        labels, version = result
+        outcomes.append(
+            (labels, version, {"batch_size": len(batch), "queue_wait": wait})
+        )
+    # The batch is accounted by the tables it served, so the served counts
+    # stay true when some of its tables fail.
+    if served:
+        metrics.record_batch(
+            n_tables=len(served),
+            n_columns=sum(table.n_columns for table in served),
+            seconds=finished - started,
+        )
+    return outcomes, anchor
+
+
+def _predict_isolated(predictor, tables: list[Table]) -> list:
+    """``(labels, version)`` per table, or the exception that failed it.
+
+    One ``predict_tables`` call serves the whole batch.  When it raises,
+    each half is re-run on its own, down to single tables, so only the
+    tables that fail alone fail; each outcome carries the version of the
+    call that served it.
+    """
+    try:
+        results = predictor.predict_tables(tables)
+    except Exception as error:
+        if len(tables) == 1:
+            return [error]
+        middle = len(tables) // 2
+        head = _predict_isolated(predictor, tables[:middle])
+        return head + _predict_isolated(predictor, tables[middle:])
+    # predict_tables records the serving version under the predictor's swap
+    # lock, and the dispatching thread is the predictor's only caller, so
+    # reading it here is race-free even mid-hot-swap.
+    version = getattr(predictor, "last_batch_version", None)
+    return [(labels, version) for labels in results]
 
 
 class MicroBatcher:
@@ -373,8 +448,8 @@ class MicroBatcher:
             self._task = None
         while self._queue:  # only non-empty if the loop died mid-drain
             pending = self._queue.popleft()
-            if not pending.future.done():
-                pending.future.set_exception(
+            if not pending.reply.done():
+                pending.reply.set_exception(
                     DrainingError("scheduler stopped before dispatch")
                 )
             self.metrics.record_rejected_draining()
@@ -413,7 +488,7 @@ class MicroBatcher:
     def _enqueue(self, table: Table) -> asyncio.Future:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._queue.append(
-            _Pending(table=table, future=future, context=get_tracer().current())
+            _Pending(table=table, reply=future, context=get_tracer().current())
         )
         self.metrics.record_admitted()
         self._wake.set()
@@ -476,7 +551,6 @@ class MicroBatcher:
     # -------------------------------------------------------------- dispatch
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
                 if self._draining:
@@ -503,55 +577,23 @@ class MicroBatcher:
                 self._queue.popleft()
                 for _ in range(min(self.max_batch_size, len(self._queue)))
             ]
-            await self._dispatch(loop, batch)
+            await self._dispatch(batch)
 
-    async def _dispatch(
-        self, loop: asyncio.AbstractEventLoop, batch: list[_Pending]
-    ) -> None:
-        tables = [pending.table for pending in batch]
-        started = time.monotonic()
-        tracer = get_tracer()
-        waits = [started - pending.enqueued_at for pending in batch]
-        for wait in waits:
-            self.metrics.record_queue_wait(wait)
-            tracer.observe("queue.wait", wait)
-        anchor = next(
-            (pending.context for pending in batch if pending.context is not None),
-            None,
+    async def _dispatch(self, batch: list[_Pending]) -> None:
+        # run_in_executor does not carry contextvars across the thread hop;
+        # dispatch_batch re-attaches the anchor request's context itself.
+        outcomes, _anchor = await asyncio.get_running_loop().run_in_executor(
+            self._executor,
+            dispatch_batch,
+            self.predictor,
+            batch,
+            self.metrics,
+            "batch.predict",
         )
-
-        def _predict() -> list[list[str]]:
-            # run_in_executor does not carry contextvars across the thread
-            # hop: adopt the first request's span as the batch anchor so
-            # predictor-internal spans land in that request's trace.
-            token = tracer.attach(anchor)
-            try:
-                with tracer.span("batch.predict", batch_size=len(tables)):
-                    return self.predictor.predict_tables(tables)
-            finally:
-                tracer.detach(token)
-
-        try:
-            results = await loop.run_in_executor(self._executor, _predict)
-        except Exception as error:  # surfaced per request as HTTP 500
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.set_exception(error)
-                self.metrics.record_error()
-            return
-        seconds = time.monotonic() - started
-        # Which model served this batch: predict_tables records it under the
-        # predictor's swap lock, and this dispatch thread is the predictor's
-        # only caller, so reading it here is race-free even mid-hot-swap.
-        version = getattr(self.predictor, "last_batch_version", None)
-        self.metrics.record_batch(
-            n_tables=len(tables),
-            n_columns=sum(table.n_columns for table in tables),
-            seconds=seconds,
-        )
-        finished = time.monotonic()
-        for pending, labels, wait in zip(batch, results, waits):
-            if not pending.future.done():
-                info = {"batch_size": len(tables), "queue_wait": wait}
-                pending.future.set_result((labels, version, info))
-            self.metrics.record_request(finished - pending.enqueued_at)
+        for pending, outcome in zip(batch, outcomes):
+            if pending.reply.done():
+                continue
+            if isinstance(outcome, Exception):  # surfaced as HTTP 500
+                pending.reply.set_exception(outcome)
+            else:
+                pending.reply.set_result(outcome)

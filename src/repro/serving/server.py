@@ -167,7 +167,10 @@ def _predict_batch_payload(body: bytes) -> list[Table]:
 def _decode_json(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and integers past Python's
+        # digit limit; RecursionError covers nesting past the scanner's
+        # recursion limit.
         raise MalformedRequest(f"body is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise MalformedRequest("body must be a JSON object")

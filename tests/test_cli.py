@@ -35,7 +35,6 @@ class TestParser:
         assert args.max_queue == 256
         assert args.cache_size == 4096
         assert args.feature_backend == "vectorized"
-        assert args.workers == 0
         assert args.model_backend == "batched"
         assert args.log_format == "text"
 

@@ -1,9 +1,8 @@
 """Tests for the vectorized featurization engine.
 
 The loop backend is the oracle: every batched code path must agree with it
-``allclose`` (rtol 1e-6), worker sharding must be bit-identical to the
-in-process engine, and bundles written before the backend existed must keep
-loading.
+``allclose`` (rtol 1e-6), and bundles written by earlier versions of the
+featurizer must keep loading.
 """
 
 from __future__ import annotations
@@ -102,19 +101,6 @@ class TestFeaturizerBackends:
         assert matrix.matrix.shape == (len(columns), featurizer.n_features)
         np.testing.assert_array_equal(matrix.matrix, vectorized)
 
-    def test_workers_bit_identical_and_stable_order(self, backends):
-        featurizer, columns, _, vectorized = backends
-        try:
-            featurizer.set_backend("vectorized", workers=1)
-            one = featurizer.transform_columns(columns)
-            featurizer.set_backend("vectorized", workers=4)
-            four = featurizer.transform_columns(columns)
-        finally:
-            featurizer.set_backend("vectorized", workers=0)
-            featurizer.close()
-        np.testing.assert_array_equal(one, four)
-        np.testing.assert_array_equal(vectorized, four)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ColumnFeaturizer(backend="gpu")
@@ -145,22 +131,6 @@ class TestFeaturizerBackends:
         np.testing.assert_allclose(
             featurizer.transform_columns(batch), loop, rtol=RTOL, atol=ATOL
         )
-
-    def test_fit_with_workers_enabled(self, multi_column_tables):
-        """Regression: training with sharding configured must not crash on
-        the standardiser pass (the pool serialises a half-fitted featurizer)."""
-        tables = multi_column_tables[:12]
-        sharded = ColumnFeaturizer(word_dim=8, para_dim=4, workers=2)
-        try:
-            sharded.fit(tables)
-        finally:
-            sharded.close()
-        inline = ColumnFeaturizer(word_dim=8, para_dim=4).fit(tables)
-        columns = [c for t in tables for c in t.columns]
-        np.testing.assert_array_equal(
-            sharded.transform_columns(columns), inline.transform_columns(columns)
-        )
-        sharded.close()
 
 
 class TestHardCaseSuiteParity:
@@ -214,41 +184,39 @@ class TestVariantParity:
 
 class TestBundleCompatibility:
     def test_pre_backend_bundle_still_loads(self, trained_base, tmp_path, corpus_small):
-        """A bundle written before backend/workers existed keeps loading."""
+        """Manifests with or without the retired ``workers`` key load alike.
+
+        Every bundle written while the featurizer had a process pool
+        carries ``"workers": 0``; the first bundle format had neither it
+        nor a ``backend`` key.
+        """
         bundle = save_model(trained_base, tmp_path / "bundle")
         manifest_path = bundle / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         featurizer_config = manifest["model"]["column_model"]["featurizer"]
-        # Simulate the format-version-1 manifest of PR 1: no backend keys.
-        featurizer_config.pop("backend")
-        featurizer_config.pop("workers")
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        assert "workers" not in featurizer_config
+        table = corpus_small[0]
+        expected = trained_base.predict_table(table)
 
+        featurizer_config["workers"] = 0
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        assert Predictor.from_bundle(bundle).predict_table(table) == expected
+
+        featurizer_config.pop("workers")
+        featurizer_config.pop("backend")
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         predictor = Predictor.from_bundle(bundle)
         assert predictor.featurizer.backend in ColumnFeaturizer.BACKENDS
-        table = corpus_small[0]
-        assert predictor.predict_table(table) == trained_base.predict_table(table)
+        assert predictor.predict_table(table) == expected
 
 
 class TestRuntimeIsolation:
-    def test_bundle_never_persists_a_worker_count(self, trained_base, tmp_path):
-        trained_base.column_model.featurizer.set_backend("vectorized", workers=8)
-        try:
-            bundle = save_model(trained_base, tmp_path / "bundle")
-        finally:
-            trained_base.column_model.featurizer.set_backend("vectorized", workers=0)
-        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-        assert manifest["model"]["column_model"]["featurizer"]["workers"] == 0
-
     def test_predictors_do_not_share_runtime_settings(self, trained_base):
-        sharded = Predictor(trained_base, workers=4)
+        vectorized = Predictor(trained_base)
         looped = Predictor(trained_base, feature_backend="loop")
-        assert sharded.featurizer.workers == 4
-        assert sharded.featurizer.backend == "vectorized"
+        assert vectorized.featurizer.backend == "vectorized"
         assert looped.featurizer.backend == "loop"
-        assert trained_base.column_model.featurizer.workers == 0
-        looped.close()  # must not touch the other predictor's settings
-        assert sharded.featurizer.workers == 4
+        assert trained_base.column_model.featurizer.backend == "vectorized"
 
     def test_failed_standardizer_pass_leaves_featurizer_unfitted(
         self, multi_column_tables, monkeypatch

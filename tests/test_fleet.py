@@ -31,6 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.features.sketchstore import combine_fingerprints, values_fingerprint
 from repro.registry import ModelRegistry
 from repro.serving import (
     Predictor,
@@ -194,6 +195,13 @@ class TestHashRing:
         assert table_routing_key(t1) == table_routing_key(t2)
         t3 = Table(columns=[Column(values=["a", "b"])], table_id="one")
         assert table_routing_key(t1) != table_routing_key(t3)
+        # The key is the leading 8 bytes of the one table fingerprint.
+        fingerprint = combine_fingerprints(
+            [values_fingerprint(column.values) for column in columns]
+        )
+        assert table_routing_key(t1).to_bytes(8, "big") == bytes.fromhex(
+            fingerprint
+        )[:8]
 
 
 class TestSpillPolicy:

@@ -13,13 +13,15 @@ import time
 
 import pytest
 
+from repro.obs import SpanContext, get_tracer
+from repro.obs.trace import _percentile
 from repro.serving import (
     DrainingError,
     MicroBatcher,
     QueueFullError,
     ServingMetrics,
 )
-from repro.serving.scheduler import _percentile
+from repro.serving.scheduler import _Pending, dispatch_batch
 from repro.tables import Column, Table
 
 
@@ -49,6 +51,25 @@ class RecordingPredictor:
 class FailingPredictor:
     def predict_tables(self, tables):
         raise RuntimeError("model exploded")
+
+
+class BadTablePredictor:
+    """Fails any call holding a table tagged ``bad``; labels echo the tag.
+
+    Each successful call stamps ``last_batch_version`` with the tags it
+    served, so an outcome shows which call served it.
+    """
+
+    def __init__(self):
+        self.batch_sizes: list[int] = []
+        self.last_batch_version = None
+
+    def predict_tables(self, tables):
+        self.batch_sizes.append(len(tables))
+        if any(table.table_id == "bad" for table in tables):
+            raise ValueError("bad table")
+        self.last_batch_version = "+".join(table.table_id for table in tables)
+        return [[table.table_id] * table.n_columns for table in tables]
 
 
 class TestMicroBatcher:
@@ -165,6 +186,27 @@ class TestMicroBatcher:
         assert metrics.errors == 1
         assert metrics.completed == 0
 
+    def test_bad_table_fails_only_its_own_request(self):
+        predictor = BadTablePredictor()
+        tags = ["t0", "t1", "bad", "t3", "t4", "t5"]
+
+        async def run():
+            async with MicroBatcher(
+                predictor, max_batch_size=len(tags), max_wait_ms=1000.0
+            ) as batcher:
+                outcomes = await asyncio.gather(
+                    *[batcher.submit(make_table(tag=tag)) for tag in tags],
+                    return_exceptions=True,
+                )
+            return outcomes, batcher.metrics
+
+        outcomes, metrics = asyncio.run(run())
+        assert predictor.batch_sizes[0] == len(tags)  # one shared batch
+        assert isinstance(outcomes.pop(2), ValueError)
+        assert outcomes == [[tag, tag] for tag in tags if tag != "bad"]
+        assert metrics.errors == 1
+        assert metrics.completed == 5
+
     def test_submit_many_round_trips_order(self):
         predictor = RecordingPredictor()
         tables = [make_table(n_columns=i + 1, tag=f"t{i}") for i in range(4)]
@@ -230,6 +272,43 @@ class TestMicroBatcher:
             MicroBatcher(predictor, max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(predictor, max_queue=0)
+
+
+class TestDispatchBatch:
+    """The shared batch core (MicroBatcher and fleet workers both run it)."""
+
+    def test_bisects_a_failing_batch_and_accounts_every_request(self):
+        tags = ["t0", "bad", "t2", "t3"]
+        batch = [
+            _Pending(table=make_table(tag=tag), reply=rid)
+            for rid, tag in enumerate(tags)
+        ]
+        context = SpanContext("a" * 16, "b" * 8)
+        batch[2].context = context
+        metrics = ServingMetrics()
+        outcomes, anchor = dispatch_batch(
+            BadTablePredictor(), batch, metrics, "worker.batch"
+        )
+        assert anchor == context
+        assert isinstance(outcomes[1], ValueError)
+        served = [outcomes[0], outcomes[2], outcomes[3]]
+        assert [labels for labels, _version, _info in served] == [
+            ["t0", "t0"], ["t2", "t2"], ["t3", "t3"]
+        ]
+        # Each outcome carries the version of the call that served it.
+        assert [version for _labels, version, _info in served] == [
+            "t0", "t2+t3", "t2+t3"
+        ]
+        assert all(info["batch_size"] == 4 for _labels, _version, info in served)
+        snap = metrics.snapshot()
+        assert snap["requests"]["errors"] == 1
+        assert snap["requests"]["completed"] == 3
+        assert snap["columns"]["tables"] == 3
+        assert snap["queue_wait_ms"]["window"] == 4
+        # The batch span was recorded under the anchor request's context.
+        spans = get_tracer().trace(context.trace_id)
+        assert [span.name for span in spans] == ["worker.batch"]
+        assert spans[0].parent_id == context.span_id
 
 
 class TestServingMetrics:

@@ -116,6 +116,13 @@ class TestPredictEndpoint:
         ), metrics["batches"]
 
 
+    def test_lone_surrogate_cell_is_served(self, server):
+        # "\ud800" is valid JSON but not encodable as UTF-8.
+        body = b'{"table": {"columns": [{"values": ["\\ud800"]}]}}'
+        status, payload = request(server.port, "POST", "/v1/predict", body=body)
+        assert status == 200 and len(payload["labels"]) == 1
+
+
 class TestObservabilityEndpoints:
     def test_healthz(self, server):
         status, payload = request(server.port, "GET", "/healthz")
@@ -144,8 +151,20 @@ class TestObservabilityEndpoints:
 
 
 class TestErrorContract:
-    def test_400_not_json(self, server):
-        status, payload = request(server.port, "POST", "/v1/predict", body=b"not json")
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            # Valid JSON that Python's json module still refuses to load.
+            b'{"table": {"columns": [{"values": [' + b"7" * 5000 + b"]}]}}",
+            # Deeper than the json scanner's recursion limit on every
+            # supported interpreter (1000 up to 3.11, up to 10000 on 3.12+).
+            b'{"table": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["garbage", "5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_400_not_json(self, server, body):
+        status, payload = request(server.port, "POST", "/v1/predict", body=body)
         assert status == 400 and "JSON" in payload["error"]
 
     def test_400_missing_table_key(self, server):

@@ -58,6 +58,12 @@ class TestFingerprints:
         assert values_fingerprint(["ab", "c"]) != values_fingerprint(["a", "bc"])
         assert values_fingerprint(["ab"]) != values_fingerprint(["a", "b"])
 
+    def test_digest_is_pinned_and_lone_surrogates_hash(self):
+        # Stored sketches and cache keys depend on this exact digest.
+        assert values_fingerprint(["ab", "c"]) == "efe72f542fb49a825544241cc54c1ddc"
+        # A lone surrogate is valid JSON; it must hash, not raise.
+        assert values_fingerprint(["\ud800"]) != values_fingerprint(["\udfff"])
+
     def test_order_sensitive_and_header_blind(self):
         assert values_fingerprint(["a", "b"]) != values_fingerprint(["b", "a"])
 
