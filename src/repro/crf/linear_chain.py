@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy.special import logsumexp
-
 from repro.obs import span
 
 __all__ = ["LinearChainCRF"]
@@ -67,6 +65,10 @@ class LinearChainCRF:
 
     def log_partition(self, unary: np.ndarray) -> float:
         """Log of the normalisation constant Z(c) via the forward algorithm."""
+        # Imported here: serving only decodes, and scipy would otherwise
+        # load into every serving process.
+        from scipy.special import logsumexp
+
         unary = self._check_unary(unary)
         alpha = unary[0].copy()
         for i in range(1, unary.shape[0]):
@@ -90,6 +92,8 @@ class LinearChainCRF:
 
     def forward_backward(self, unary: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Forward and backward log-messages and the log-partition."""
+        from scipy.special import logsumexp
+
         unary = self._check_unary(unary)
         m = unary.shape[0]
         alpha = np.zeros((m, self.n_states))

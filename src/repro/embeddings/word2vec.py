@@ -9,13 +9,14 @@ skip-gram with negative sampling), and it trains in seconds on the corpus.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from repro.embeddings.vocabulary import Vocabulary
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["WordEmbeddingModel"]
 
@@ -78,6 +79,10 @@ class WordEmbeddingModel:
     def _cooccurrence(
         self, documents: list[list[str]], n_tokens: int
     ) -> sparse.csr_matrix:
+        # scipy is imported by the fit helpers only: loading a fitted model
+        # (every serving process) never needs it.
+        from scipy import sparse
+
         rows: list[int] = []
         cols: list[int] = []
         data: list[float] = []
@@ -102,6 +107,8 @@ class WordEmbeddingModel:
 
     @staticmethod
     def _ppmi(cooc: sparse.csr_matrix) -> sparse.csr_matrix:
+        from scipy import sparse
+
         total = cooc.sum()
         if total == 0:
             return cooc
@@ -123,6 +130,8 @@ class WordEmbeddingModel:
         k = min(self.dim, max(1, min(ppmi.shape) - 1))
         if ppmi.nnz == 0 or k < 1:
             return np.zeros((n_tokens, self.dim), dtype=np.float64)
+        from scipy.sparse.linalg import svds
+
         try:
             u, s, _ = svds(ppmi, k=k, random_state=self.seed)
         except Exception:

@@ -111,10 +111,11 @@ def permutation_importance(
     table_features = [column_model.featurizer.transform_table(t) for t in tables]
     is_topic_aware = isinstance(column_model, TopicAwareModel)
     if is_topic_aware:
-        table_topics: list[np.ndarray | None] = []
-        for table, features in zip(tables, table_features):
-            vector = column_model.intent_estimator.topic_vector(table)
-            table_topics.append(np.tile(vector, (features.shape[0], 1)))
+        vectors = column_model.intent_estimator.topic_vectors(tables)
+        table_topics: list[np.ndarray | None] = [
+            np.tile(vector, (features.shape[0], 1))
+            for vector, features in zip(vectors, table_features)
+        ]
     else:
         table_topics = [None] * len(tables)
 

@@ -81,13 +81,9 @@ class TopicAwareModel(SherlockModel):
 
     def _column_topic_matrix(self, tables: Sequence[Table]) -> np.ndarray:
         """Topic vector per *column* (columns of one table share the vector)."""
-        rows: list[np.ndarray] = []
-        for table in tables:
-            vector = self.intent_estimator.topic_vector(table)
-            rows.extend([vector] * table.n_columns)
-        if not rows:
-            return np.zeros((0, self.n_topics))
-        return np.stack(rows)
+        tables = [table for table in tables if table.n_columns]
+        vectors = self.intent_estimator.topic_vectors(tables)
+        return np.repeat(vectors, [table.n_columns for table in tables], axis=0)
 
     # ------------------------------------------------------------ inference
 

@@ -16,7 +16,8 @@ the column's content, so repeated traffic over the same columns (the common
 case for dashboard-style workloads) skips featurization entirely.  For
 topic-aware variants, inferred table-topic vectors are memoised the same
 way (keyed on the whole table's content), which removes the single most
-expensive per-table serving step — LDA inference — from repeat traffic.
+expensive per-table serving step — LDA inference — from repeat traffic;
+the misses of a batch are inferred together in one batched call.
 """
 
 from __future__ import annotations
@@ -467,43 +468,53 @@ class Predictor:
 
         Topic vectors are memoised in their own LRU cache keyed on table
         content: LDA inference reseeds its Gibbs chain per call, so the
-        cached vector is bit-identical to a recomputation.
+        cached vector is bit-identical to a recomputation.  Every miss of
+        the batch is inferred in one batched call, each distinct table once.
         """
         if not isinstance(self.column_model, TopicAwareModel):
             return None
         store = self.sketch_store
         sample = self.sketch_sample_rows
         intent = self.column_model.intent_estimator
-        rows: list[np.ndarray] = []
-        for table in tables:
-            if not table.columns:
-                continue
-            key = self._table_fingerprint(table)
+        tables = [table for table in tables if table.columns]
+        keys = [self._table_fingerprint(table) for table in tables]
+        vectors: dict[str, np.ndarray] = {}
+        missing: dict[str, Table] = {}
+        for key, table in zip(keys, tables):
             vector = self.topic_cache.get(key)
-            if vector is None and store is not None:
-                if self._topic_section is None:
-                    self._topic_section = store.section(
-                        sketchstore.topic_section_config(
-                            intent, sample_rows=sample
+            if vector is None and key not in vectors and key not in missing:
+                if store is not None:
+                    if self._topic_section is None:
+                        self._topic_section = store.section(
+                            sketchstore.topic_section_config(intent, sample_rows=sample)
                         )
+                    vector = sketchstore.topic_vector_from_sketch(
+                        store.get(self._topic_section, key), intent.n_topics
                     )
-                vector = sketchstore.topic_vector_from_sketch(
-                    store.get(self._topic_section, key), intent.n_topics
-                )
-                if vector is not None:
+                if vector is None:
+                    source = table
+                    if sample is not None:
+                        source = sketchstore.sampled_table(table, sample)
+                    missing[key] = source
+                else:
                     self.topic_cache.put(key, vector)
-            if vector is None:
-                source = table
-                if sample is not None:
-                    source = sketchstore.sampled_table(table, sample)
-                vector = intent.topic_vector(source)
-                self.topic_cache.put(key, vector)
+            if vector is not None:
+                vectors[key] = vector
+        if missing:
+            inferred = intent.topic_vectors(list(missing.values()))
+            for key, vector in zip(missing, inferred):
+                # Copy: a row view would pin the whole batch matrix in the cache.
+                vectors[key] = vector.copy()
+                self.topic_cache.put(key, vectors[key])
                 if store is not None:
                     store.put(self._topic_section, key, {"topic": vector.tolist()})
-            rows.append(np.tile(vector, (table.n_columns, 1)))
-        if not rows:
+        if not tables:
             return np.zeros((0, self.column_model.n_topics))
-        return np.concatenate(rows, axis=0)
+        return np.repeat(
+            np.stack([vectors[key] for key in keys]),
+            [table.n_columns for table in tables],
+            axis=0,
+        )
 
     def _columnwise_proba(self, tables: Sequence[Table]) -> list[np.ndarray]:
         """Column-wise class scores per table, from one batched forward pass."""
@@ -635,9 +646,10 @@ class Predictor:
         Tracks every batched forward pass served by this predictor:
         ``batches`` (number of ``predict*`` calls), ``tables`` and
         ``columns`` (work volume), ``predict_seconds`` (time spent in
-        featurization + the column-network forward, excluding structured
-        decode), and the active ``model_backend``.  The online server
-        surfaces this under the ``predictor`` key of ``GET /metrics``.
+        featurization, table-topic inference and the column-network
+        forward, excluding structured decode), and the active
+        ``model_backend``.  The online server surfaces this under the
+        ``predictor`` key of ``GET /metrics``.
         """
         return {
             "batches": self._batches,

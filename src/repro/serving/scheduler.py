@@ -354,6 +354,8 @@ class MicroBatcher:
         How long a newly arrived request may wait for companions before the
         partial batch is dispatched anyway.  This bounds the latency cost of
         batching: an isolated request is served after at most this delay.
+        A request that arrived while a batch was being served waits at most
+        this long after that batch finishes.
     max_queue:
         Admission bound on the pending queue.  ``submit`` calls beyond it
         raise :class:`QueueFullError` immediately (fail fast beats an
@@ -551,6 +553,7 @@ class MicroBatcher:
     # -------------------------------------------------------------- dispatch
 
     async def _run(self) -> None:
+        free_since = 0.0  # when the last dispatch finished
         while True:
             if not self._queue:
                 if self._draining:
@@ -558,12 +561,17 @@ class MicroBatcher:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            # One request in hand: linger for companions until the *oldest*
-            # request has waited max_wait_ms since admission (skipped when
-            # the batch is already full or we are draining).  Anchoring on
-            # enqueue time means work that queued during an in-flight
-            # dispatch is not taxed a second wait window.
-            deadline = self._queue[0].enqueued_at + self.max_wait_ms / 1e3
+            # One request in hand: linger for companions until max_wait_ms
+            # after the *oldest* request's admission, or after the last
+            # dispatch finished if it queued during it (skipped when the
+            # batch is already full or we are draining).  So the callers
+            # the last batch answered can join the requests that waited
+            # through it, as in a fleet worker, which reads its pipe only
+            # between batches; otherwise closed-loop callers can settle
+            # into alternate batches, and batched topic inference costs
+            # more per table in smaller ones.
+            oldest = self._queue[0].enqueued_at
+            deadline = max(oldest, free_since) + self.max_wait_ms / 1e3
             while not self._draining and len(self._queue) < self.max_batch_size:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -578,6 +586,7 @@ class MicroBatcher:
                 for _ in range(min(self.max_batch_size, len(self._queue)))
             ]
             await self._dispatch(batch)
+            free_since = time.monotonic()
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
         # run_in_executor does not carry contextvars across the thread hop;

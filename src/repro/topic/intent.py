@@ -109,7 +109,11 @@ class TableIntentEstimator:
         return self.lda.transform(list(tokens)[: self.max_tokens_per_table])
 
     def topic_vectors(self, tables: Sequence[Table]) -> np.ndarray:
-        """Infer topic vectors for a sequence of tables."""
-        if not tables:
-            return np.zeros((0, self.n_topics))
-        return np.stack([self.topic_vector(t) for t in tables])
+        """Infer topic vectors for a sequence of tables in one batched call.
+
+        Row ``i`` is bit-identical to ``topic_vector(tables[i])``
+        (see :meth:`LatentDirichletAllocation.transform_many`).
+        """
+        if not self._fitted:
+            raise RuntimeError("intent estimator is not fitted")
+        return self.lda.transform_many([self.table_document(t) for t in tables])

@@ -9,6 +9,7 @@ End-to-end behaviour over a real socket lives in ``test_server.py``.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -134,6 +135,40 @@ class TestMicroBatcher:
         labels, elapsed = asyncio.run(run())
         assert labels == ["label", "label"]
         assert elapsed < 2.0  # waited ~max_wait_ms, not forever
+
+    def test_request_queued_during_a_dispatch_waits_for_the_answered_caller(self):
+        """A closed-loop caller answered by a batch joins the next one.
+
+        ``b`` queues while ``a``'s batch runs and has waited past
+        ``max_wait_ms`` by the time it ends; ``a``'s caller resubmits as
+        soon as it is answered.  Both land in one batch, so two callers
+        never settle into being served alternately, one per batch.
+        """
+        release = threading.Event()
+        served: list[list[str]] = []
+
+        class BlockingPredictor:
+            def predict_tables(self, tables):
+                served.append([table.table_id for table in tables])
+                release.wait(5.0)
+                return [["label"] * table.n_columns for table in tables]
+
+        async def run():
+            async with MicroBatcher(
+                BlockingPredictor(), max_batch_size=8, max_wait_ms=200.0
+            ) as batcher:
+                first = asyncio.create_task(batcher.submit(make_table(tag="a")))
+                deadline = time.monotonic() + 5.0
+                while not served and time.monotonic() < deadline:
+                    await asyncio.sleep(0.005)
+                second = asyncio.create_task(batcher.submit(make_table(tag="b")))
+                await asyncio.sleep(0.25)  # b is now past its own window
+                release.set()
+                await first
+                await asyncio.gather(second, batcher.submit(make_table(tag="c")))
+
+        asyncio.run(run())
+        assert served == [["a"], ["b", "c"]]
 
     def test_queue_bound_rejects_with_queue_full(self):
         predictor = RecordingPredictor(delay=0.05)

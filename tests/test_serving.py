@@ -2,6 +2,9 @@
 and the column-feature LRU cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +235,33 @@ class TestPredictor:
         assert predictor.predict_tables(test) == [
             trained_base.predict_table(t) for t in test
         ]
+
+
+def test_serving_a_bundle_never_imports_scipy(trained_sato, serving_split, tmp_path):
+    """scipy only serves training; a serving process stays without it."""
+    save_model(trained_sato, tmp_path / "bundle")
+    _, tables = serving_split
+    values = [[list(c.values) for c in t.columns] for t in tables[:4]]
+    script = (
+        "import json, sys\n"
+        "from repro.serving import Predictor\n"
+        "from repro.tables import Column, Table\n"
+        "predictor = Predictor.from_bundle(sys.argv[1])\n"
+        "tables = [Table(columns=[Column(values=v) for v in t])\n"
+        "          for t in json.loads(sys.argv[2])]\n"
+        "assert len(predictor.predict_tables(tables)) == len(tables)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "bundle"), json.dumps(values)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestColumnFingerprint:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.serving import Predictor, column_fingerprint
 from repro.tables import Column, Table
 from repro.topic import (
     Dictionary,
@@ -95,13 +96,196 @@ class TestLDA:
             LatentDirichletAllocation(n_topics=3).transform(["a"])
 
     def test_invalid_topics(self):
-        with pytest.raises(ValueError):
-            LatentDirichletAllocation(n_topics=0)
+        for kwargs in ({"n_topics": 0}, {"alpha": -0.5}, {"beta": -0.001}):
+            with pytest.raises(ValueError):
+                LatentDirichletAllocation(**kwargs)
 
     def test_deterministic_given_seed(self):
         a = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         b = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         assert np.allclose(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
+
+
+class _ChoiceLDA(LatentDirichletAllocation):
+    """The Gibbs sweep as it drew with ``rng.choice``: the reference."""
+
+    def _gibbs_sweep(
+        self, tokens, topics, doc_topic_row, topic_token, topic_totals,
+        vocabulary_size, rng, update_topics,
+    ):
+        beta_sum = self.beta * vocabulary_size
+        for position in range(tokens.size):
+            token = tokens[position]
+            old_topic = topics[position]
+            doc_topic_row[old_topic] -= 1
+            if update_topics:
+                topic_token[old_topic, token] -= 1
+                topic_totals[old_topic] -= 1
+            weights = (
+                (topic_token[:, token] + self.beta)
+                / (topic_totals + beta_sum)
+                * (doc_topic_row + self.alpha)
+            )
+            weights_sum = weights.sum()
+            if weights_sum <= 0 or not np.isfinite(weights_sum):
+                new_topic = int(rng.integers(0, self.n_topics))
+            else:
+                new_topic = int(rng.choice(self.n_topics, p=weights / weights_sum))
+            topics[position] = new_topic
+            doc_topic_row[new_topic] += 1
+            if update_topics:
+                topic_token[new_topic, token] += 1
+                topic_totals[new_topic] += 1
+
+
+_WORDS = [f"w{i}" for i in range(120)]
+
+
+def _corpus():
+    """Random documents over ``_WORDS``; every word is in the dictionary."""
+    rs = np.random.default_rng(0)
+    documents = [
+        [_WORDS[j] for j in rs.integers(0, len(_WORDS), size=rs.integers(3, 40))]
+        for _ in range(40)
+    ]
+    return documents + [list(_WORDS), list(_WORDS)]
+
+
+def _batch(n_docs):
+    """A 512-token document, a 1-token one, an empty one, one of unknown
+    tokens only, then random lengths (some empty)."""
+    rs = np.random.default_rng(1)
+    documents = [
+        [_WORDS[j] for j in rs.integers(0, len(_WORDS), size=512)],
+        ["w1"],
+        [],
+        ["never-seen", "also-unknown"],
+    ]
+    while len(documents) < n_docs:
+        length = int(rs.integers(0, 60))
+        documents.append([_WORDS[j] for j in rs.integers(0, len(_WORDS), size=length)])
+    return documents[:n_docs]
+
+
+def _with_sweeps(lda, infer_iterations):
+    clone = LatentDirichletAllocation(
+        n_topics=lda.n_topics, infer_iterations=infer_iterations, seed=lda.seed
+    )
+    clone.load_state_dict(lda.state_dict())
+    return clone
+
+
+class TestBatchedInference:
+    """``transform_many`` is bit-identical to ``transform``, row by row."""
+
+    @pytest.fixture(scope="class")
+    def fitted_by_topics(self):
+        return {
+            k: LatentDirichletAllocation(n_topics=k, n_iterations=3, seed=5).fit(
+                _corpus()
+            )
+            for k in (2, 24, 400)
+        }
+
+    @pytest.mark.parametrize("n_docs", [1, 2, 7, 64, 130])
+    def test_matches_transform_alone_and_in_a_batch(self, fitted_by_topics, n_docs):
+        lda = _with_sweeps(fitted_by_topics[24], 2)
+        documents = _batch(n_docs)
+        expected = np.stack([lda.transform(d) for d in documents])
+        assert np.array_equal(lda.transform_many(documents), expected)
+        alone = np.stack([lda.transform_many([d])[0] for d in documents])
+        assert np.array_equal(alone, expected)
+
+    @pytest.mark.parametrize("infer_iterations", [1, 2, 15])
+    @pytest.mark.parametrize("n_topics", [2, 24, 400])
+    def test_matches_transform_across_topics_and_sweeps(
+        self, fitted_by_topics, n_topics, infer_iterations
+    ):
+        lda = _with_sweeps(fitted_by_topics[n_topics], infer_iterations)
+        documents = _batch(7)
+        expected = np.stack([lda.transform(d) for d in documents])
+        assert np.array_equal(lda.transform_many(documents), expected)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 0.01), (0.1, 0.0)])
+    def test_documents_that_can_fall_back_run_transform(
+        self, alpha, beta, monkeypatch
+    ):
+        lda = LatentDirichletAllocation(
+            n_topics=5, alpha=alpha, beta=beta, n_iterations=3, infer_iterations=4
+        ).fit(_corpus())
+        documents = _batch(7)
+        expected = np.stack([lda.transform(d) for d in documents])
+        sequential = []
+        transform = lda.transform
+        monkeypatch.setattr(
+            lda, "transform", lambda d: sequential.append(d) or transform(d)
+        )
+        assert np.array_equal(lda.transform_many(documents), expected)
+        assert ["w1"] in sequential
+
+    def test_empty_call(self, fitted_by_topics):
+        assert fitted_by_topics[2].transform_many([]).shape == (0, 2)
+
+    @pytest.mark.parametrize("n_topics", [2, 24, 400])
+    def test_explicit_draw_matches_rng_choice(self, n_topics):
+        documents = _corpus()
+        config = {"n_topics": n_topics, "n_iterations": 3, "infer_iterations": 4}
+        ours = LatentDirichletAllocation(seed=7, **config).fit(documents)
+        reference = _ChoiceLDA(seed=7, **config).fit(documents)
+        assert np.array_equal(ours.topic_token_counts, reference.topic_token_counts)
+        assert np.array_equal(ours.topic_counts, reference.topic_counts)
+        batch = _batch(7)
+        expected = np.stack([reference.transform(d) for d in batch])
+        assert np.array_equal(np.stack([ours.transform(d) for d in batch]), expected)
+        assert np.array_equal(ours.transform_many(batch), expected)
+
+
+class TestPredictorTopics:
+    """The serving path infers each micro-batch's misses in one call."""
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_batch_topics_match_the_per_table_chain(
+        self, trained_sato, serving_split, tmp_path, store
+    ):
+        _, tables = serving_split
+        intent = trained_sato.column_model.intent_estimator
+        expected = np.concatenate([
+            np.tile(intent.topic_vector(t), (t.n_columns, 1))
+            for t in tables if t.n_columns
+        ])
+        labels = [trained_sato.predict_table(t) for t in tables]
+        # Cold, then (with the store on) a fresh predictor served from the store.
+        for _ in range(2):
+            predictor = Predictor(
+                trained_sato, sketch_store=tmp_path / "store" if store else None
+            )
+            assert np.array_equal(predictor._batch_topics(tables), expected)
+            assert predictor.predict_tables(tables) == labels
+            predictor.close()
+
+    def test_table_repeated_within_a_batch_is_inferred_once(
+        self, trained_sato, serving_split, tmp_path, monkeypatch
+    ):
+        _, tables = serving_split
+        a, b = [t for t in tables if t.n_columns][:2]
+        intent = trained_sato.column_model.intent_estimator
+        inferred = []
+        topic_vectors = intent.topic_vectors
+        monkeypatch.setattr(
+            intent,
+            "topic_vectors",
+            lambda ts: inferred.append(len(ts)) or topic_vectors(ts),
+        )
+        predictor = Predictor(trained_sato, sketch_store=tmp_path / "store")
+        labels = predictor.predict_tables([a, b, a])
+        assert inferred == [2]
+        assert labels == [trained_sato.predict_table(t) for t in (a, b, a)]
+        info = predictor.cache_info()
+        assert info["topic_hits"] + info["topic_misses"] == 3
+        # One store read per distinct column and per distinct table.
+        columns = {column_fingerprint(c) for t in (a, b) for c in t.columns}
+        assert info["sketch_store"]["misses"] == len(columns) + 2
+        predictor.close()
 
 
 class TestIntentEstimator:
@@ -122,6 +306,8 @@ class TestIntentEstimator:
     def test_topic_vectors_batch(self, estimator, corpus_small):
         matrix = estimator.topic_vectors(corpus_small[:4])
         assert matrix.shape == (4, 6)
+        expected = np.stack([estimator.topic_vector(t) for t in corpus_small[:4]])
+        assert np.array_equal(matrix, expected)
 
     def test_unfitted_raises(self, corpus_small):
         estimator = TableIntentEstimator(n_topics=4)
