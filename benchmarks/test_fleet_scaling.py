@@ -44,6 +44,11 @@ from conftest import emit, emit_json, run_once
 from repro.experiments.pipeline import build_corpus, make_model_factories
 from repro.obs.trace import _percentile
 from repro.serving import ServingFleet, save_model
+from repro.serving.scheduler import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_MAX_WAIT_MS,
+)
 
 #: The tentpole acceptance bar: 4 workers must serve at least this many
 #: times the single-worker columns/sec on identical closed-loop load.
@@ -62,7 +67,7 @@ REQUESTS_PER_CLIENT = 6
 FLEET_SIZES = (1, 4)
 
 
-def _closed_loop(bundle_path: Path, tables, n_workers: int, config) -> dict:
+def _closed_loop(bundle_path: Path, tables, n_workers: int) -> dict:
     """Drive one fleet size with the closed-loop load generator."""
 
     async def client(fleet: ServingFleet, index: int, latencies: list) -> int:
@@ -80,9 +85,9 @@ def _closed_loop(bundle_path: Path, tables, n_workers: int, config) -> dict:
             n_workers,
             bundle_path=str(bundle_path),
             cache_size=0,  # pay real per-request work; see module docstring
-            max_batch_size=config.serve_max_batch_size,
-            max_wait_ms=config.serve_max_wait_ms,
-            max_queue=config.serve_max_queue,
+            max_batch_size=DEFAULT_MAX_BATCH_SIZE,
+            max_wait_ms=DEFAULT_MAX_WAIT_MS,
+            max_queue=DEFAULT_MAX_QUEUE,
             # Sized so a hot worker saturates at its fair share of the
             # closed-loop load and the excess spills to its ring
             # neighbours — few serve tables hash unevenly, and without
@@ -140,7 +145,7 @@ def _scaling_comparison(config) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as tmp:
         bundle = save_model(model, Path(tmp) / "bundle")
         arms = {
-            f"workers_{n}": _closed_loop(bundle, serve, n, config)
+            f"workers_{n}": _closed_loop(bundle, serve, n)
             for n in FLEET_SIZES
         }
 

@@ -1,18 +1,23 @@
-"""Model-core inference throughput: per-table loop vs batched backend.
+"""Model-core inference throughput: per-table loop vs batched.
 
 The structured-prediction stage (column-network forward + CRF Viterbi, the
-paper's Table 2 efficiency story) is served through ``model_backend``:
+paper's Table 2 efficiency story) is served batched; the per-table loop is
+its parity oracle:
 
-* ``loop`` — the parity oracle: featurize, forward and Viterbi-decode one
-  table at a time (what a coalesced micro-batch paid before batching),
-* ``batched`` — one featurization call, one column-network forward pass
-  (a single matmul per layer over every column of every table) and one
-  masked ``viterbi_batch`` recurrence over the whole batch.
+* ``loop`` — ``SatoModel.predict_table`` on each table: featurize, forward
+  and Viterbi-decode one table at a time (what a coalesced micro-batch paid
+  before batching),
+* ``batched`` — ``SatoModel.predict_tables``: one featurization call, one
+  column-network forward pass (a single matmul per layer over every column
+  of every table) and one masked ``viterbi_batch`` recurrence over the
+  whole batch.
 
-This benchmark measures tables/sec for both backends end to end, isolates
-the Viterbi decode (per-chain loop vs one padded/masked batch decode), and
+This benchmark measures tables/sec for both end to end, isolates the
+Viterbi decode (per-chain loop vs one padded/masked batch decode), and
 checks the decode through a warm serving :class:`~repro.serving.Predictor`
-(features cached — exactly what a micro-batch dispatch pays per request).
+(features cached — exactly what a micro-batch dispatch pays per request),
+against per-table ``labels_from_proba`` over that predictor's column-wise
+scores.
 
 The model core is benchmarked on the ``SatoNoTopic`` variant (CRF on,
 topic off), so its cells measure featurization, forward and decode alone.
@@ -42,7 +47,7 @@ from repro.experiments.pipeline import build_corpus, make_model_factories
 from repro.models.batched import pad_unaries
 from repro.serving import Predictor
 
-#: The tentpole acceptance bar: the batched backend must serve at least this
+#: The tentpole acceptance bar: batched inference must serve at least this
 #: many times the tables/sec of the per-table loop on the same batch.
 MIN_BATCHED_SPEEDUP = 2.0
 
@@ -81,9 +86,9 @@ def _throughput_comparison(config) -> dict:
     n_columns = sum(t.n_columns for t in serve)
 
     # --- end to end: loop vs batched (the CI-gated cells) --------------
-    model.set_model_backend("loop")
-    loop_seconds, loop_labels = _timed(lambda: model.predict_tables(serve), repeats=3)
-    model.set_model_backend("batched")
+    loop_seconds, loop_labels = _timed(
+        lambda: [model.predict_table(table) for table in serve], repeats=3
+    )
     batched_seconds, batched_labels = _timed(
         lambda: model.predict_tables(serve), repeats=3
     )
@@ -107,15 +112,17 @@ def _throughput_comparison(config) -> dict:
     assert all(np.array_equal(a, b) for a, b in zip(decoded_loop, decoded_batch))
 
     # --- warm serving path: decode cost behind a feature-cached Predictor
-    predictor_loop = Predictor(model, model_backend="loop")
-    predictor_batched = Predictor(model, model_backend="batched")
-    predictor_loop.predict_tables(serve)  # warm the feature cache
-    predictor_batched.predict_tables(serve)
+    predictor = Predictor(model)
+    predictor.predict_tables(serve)  # warm the feature cache
     warm_loop_seconds, warm_loop = _timed(
-        lambda: predictor_loop.predict_tables(serve), repeats=3
+        lambda: [
+            model.labels_from_proba(proba)
+            for proba in predictor._columnwise_proba(serve)
+        ],
+        repeats=3,
     )
     warm_batched_seconds, warm_batched = _timed(
-        lambda: predictor_batched.predict_tables(serve), repeats=3
+        lambda: predictor.predict_tables(serve), repeats=3
     )
     assert warm_loop == warm_batched == loop_labels
 

@@ -10,9 +10,9 @@ drives the same fitted Sato bundle through a
 
 * **batch-1** — ``max_batch_size=1``: every request is dispatched alone,
   the degenerate no-batching policy (what per-request serving would do),
-* **micro-batched** — the ``ExperimentConfig.serve_*`` policy
-  (``serve_max_batch_size`` / ``serve_max_wait_ms``): concurrent requests
-  coalesce into shared featurization + forward passes,
+* **micro-batched** — the scheduler's default policy
+  (``DEFAULT_MAX_BATCH_SIZE`` / ``DEFAULT_MAX_WAIT_MS``): concurrent
+  requests coalesce into shared featurization + forward passes,
 
 and in two cache regimes —
 
@@ -43,6 +43,11 @@ from conftest import emit, emit_json, run_once
 
 from repro.experiments.pipeline import build_corpus, make_model_factories
 from repro.serving import MicroBatcher, Predictor
+from repro.serving.scheduler import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_MAX_WAIT_MS,
+)
 
 #: The tentpole acceptance bar: micro-batched columns/sec must be at least
 #: this many times the batch-size-1 policy's on identical closed-loop load.
@@ -118,13 +123,13 @@ def _throughput_comparison(config) -> dict:
     def pair(cache_size: int) -> dict:
         batch_one = _closed_loop(
             model, serve, max_batch_size=1, max_wait_ms=0.0,
-            max_queue=config.serve_max_queue, cache_size=cache_size,
+            max_queue=DEFAULT_MAX_QUEUE, cache_size=cache_size,
         )
         micro = _closed_loop(
             model, serve,
-            max_batch_size=config.serve_max_batch_size,
-            max_wait_ms=config.serve_max_wait_ms,
-            max_queue=config.serve_max_queue,
+            max_batch_size=DEFAULT_MAX_BATCH_SIZE,
+            max_wait_ms=DEFAULT_MAX_WAIT_MS,
+            max_queue=DEFAULT_MAX_QUEUE,
             cache_size=cache_size,
         )
         return {

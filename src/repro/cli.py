@@ -6,14 +6,12 @@ Subcommands::
     repro-sato generate  --spec specs/unicode_heavy.json --out suite.jsonl \
                          --split-out suite.split.json
     repro-sato train     --corpus corpus.jsonl --out model/
-    repro-sato predict   --model model/ --csv mytable.csv \
-                         --feature-backend vectorized
+    repro-sato predict   --model model/ --csv mytable.csv
     repro-sato annotate  data/ --model model/ --out schemas.jsonl
     repro-sato annotate  warehouse.sqlite --registry registry/ \
                          --model-name sato --chunk-rows 8192
     repro-sato serve     --model model/ --port 8080 \
-                         --max-batch-size 32 --max-wait-ms 2 \
-                         --model-backend batched
+                         --max-batch-size 32 --max-wait-ms 2
     repro-sato serve     --registry registry/ --model-name sato \
                          --watch-interval 2
     repro-sato profile   --model model/ --suite clean_baseline \
@@ -123,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="output bundle directory")
     train.add_argument("--variant", choices=MODEL_VARIANTS, default="Sato")
     train.add_argument("--epochs", type=int, default=15)
-    _add_backend_arguments(train)
 
     evaluate = subparsers.add_parser(
         "evaluate",
@@ -193,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="epochs for the --corpus fallback (default 15)",
     )
-    _add_backend_arguments(predict)
-    _add_model_backend_argument(predict)
     _add_sketch_arguments(predict)
 
     annotate = subparsers.add_parser(
@@ -333,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request logging: terse text on stderr (default) or one "
         "structured JSON line per request (trace id, outcome, timings)",
     )
-    _add_backend_arguments(serve)
-    _add_model_backend_argument(serve)
     _add_sketch_arguments(serve)
 
     profile = subparsers.add_parser(
@@ -368,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the full profile report to this JSON file",
     )
-    _add_backend_arguments(profile)
-    _add_model_backend_argument(profile)
 
     registry = subparsers.add_parser(
         "registry",
@@ -479,26 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--feature-backend",
-        choices=("loop", "vectorized"),
-        default="vectorized",
-        help="featurization backend: vectorized array ops (default) or the "
-        "per-value Python reference loop",
-    )
-
-
-def _add_model_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model-backend",
-        choices=("loop", "batched"),
-        default="batched",
-        help="batch inference backend: one padded/masked forward + Viterbi "
-        "over the whole batch (default) or the per-table reference loop",
-    )
-
-
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sketch-store",
@@ -567,7 +538,6 @@ def _build_variant(variant: str, epochs: int):
 def _cmd_train(args: argparse.Namespace) -> int:
     tables = tables_from_jsonl(args.corpus)
     model = _build_variant(args.variant, args.epochs)
-    model.set_feature_backend(args.feature_backend)
     started = time.perf_counter()
     model.fit(tables)
     elapsed = time.perf_counter() - started
@@ -695,8 +665,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         try:
             predictor = Predictor.from_bundle(
                 args.model,
-                feature_backend=args.feature_backend,
-                model_backend=args.model_backend,
                 sketch_store=args.sketch_store,
                 sketch_sample_rows=args.sketch_sample_rows,
             )
@@ -707,11 +675,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         variant = "Sato" if args.variant is None else args.variant
         epochs = 15 if args.epochs is None else args.epochs
         model = _build_variant(variant, epochs)
-        model.set_feature_backend(args.feature_backend)
         model.fit(tables_from_jsonl(args.corpus))
         predictor = Predictor(
             model,
-            model_backend=args.model_backend,
             sketch_store=args.sketch_store,
             sketch_sample_rows=args.sketch_sample_rows,
         )
@@ -903,8 +869,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     args.model_name,
                     version=args.model_version,
                     cache_size=args.cache_size,
-                    feature_backend=args.feature_backend,
-                    model_backend=args.model_backend,
                     sketch_store=args.sketch_store,
                     sketch_sample_rows=args.sketch_sample_rows,
                 )
@@ -939,8 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 predictor = Predictor.from_bundle(
                     args.model,
                     cache_size=args.cache_size,
-                    feature_backend=args.feature_backend,
-                    model_backend=args.model_backend,
                     sketch_store=args.sketch_store,
                     sketch_sample_rows=args.sketch_sample_rows,
                 )
@@ -960,8 +922,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             model_name=args.model_name if registry is not None else None,
             model_version=args.model_version,
             cache_size=args.cache_size,
-            feature_backend=args.feature_backend,
-            model_backend=args.model_backend,
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
@@ -1047,11 +1007,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"cannot build suite: {error}", file=sys.stderr)
         return 2
     try:
-        predictor = Predictor.from_bundle(
-            args.model,
-            feature_backend=args.feature_backend,
-            model_backend=args.model_backend,
-        )
+        predictor = Predictor.from_bundle(args.model)
     except BundleFormatError as error:
         print(f"cannot load model bundle: {error}", file=sys.stderr)
         return 2

@@ -11,18 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.registry.gates import (
-    DEFAULT_GATE_MIN_AGREEMENT,
-    DEFAULT_GATE_MIN_F1,
-    DEFAULT_SUITE_REGRESSION_TOLERANCE,
-)
-from repro.registry.watch import DEFAULT_WATCH_INTERVAL
-from repro.serving.scheduler import (
-    DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_MAX_WAIT_MS,
-)
-
 __all__ = ["ExperimentConfig"]
 
 
@@ -44,37 +32,9 @@ class ExperimentConfig:
     # Featurizer
     word_dim: int = 24
     para_dim: int = 16
-    feature_backend: str = "vectorized"
-
-    # Batch inference (structured decode backend; see docs/performance.md)
-    model_backend: str = "batched"
 
     # Bulk ingestion (streaming chunked annotate; see docs/ingest.md)
     ingest_chunk_rows: int = 4096
-    # Persistent column-sketch store for incremental re-annotation
-    # (directory path or None = off; see docs/performance.md).  The
-    # sample dial bounds featurization of store misses to each column's
-    # first N values; fingerprints always cover the full content.
-    sketch_store: str | None = None
-    sketch_sample_rows: int | None = None
-
-    # Online serving (micro-batching policy; see docs/operations.md)
-    serve_max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    serve_max_wait_ms: float = DEFAULT_MAX_WAIT_MS
-    serve_max_queue: int = DEFAULT_MAX_QUEUE
-    # Prefork worker fleet over a shared-memory bundle (0 = single process)
-    serve_fleet_workers: int = 0
-
-    # Model lifecycle (registry hot-swap + shadow/canary; see docs/registry.md)
-    registry_watch_interval: float = DEFAULT_WATCH_INTERVAL
-    serve_shadow_fraction: float = 0.1
-    gate_min_macro_f1: float = DEFAULT_GATE_MIN_F1
-    gate_min_agreement: float = DEFAULT_GATE_MIN_AGREEMENT
-    # Per-suite promotion criteria (hard-case eval suites; docs/corpus_spec.md).
-    # Empty tuple = no suite gates; names match specs/<name>.json.
-    gate_suites: tuple = ()
-    gate_suite_preset: str = "tiny"
-    gate_suite_tolerance: float = DEFAULT_SUITE_REGRESSION_TOLERANCE
 
     # Topic model
     n_topics: int = 24

@@ -79,7 +79,6 @@ def _featurizer(config: ExperimentConfig) -> ColumnFeaturizer:
         word_dim=config.word_dim,
         para_dim=config.para_dim,
         seed=config.seed,
-        backend=config.feature_backend,
     )
 
 
@@ -105,7 +104,7 @@ def make_model_factories(
             model = SatoModel(
                 config=sato_config(use_topic, use_struct),
                 featurizer=_featurizer(config),
-            ).set_model_backend(config.model_backend)
+            )
             if use_topic:
                 # Keep the LDA budget under experiment control.
                 model.column_model.intent_estimator.lda.n_iterations = config.lda_iterations

@@ -1,9 +1,9 @@
-"""Vectorized featurization backend (the serving hot path).
+"""Vectorized featurization (the one runtime featurization path).
 
-The loop backend featurizes one column and one value at a time in pure
-Python; Table 2 of the paper shows featurization dominating serving cost.
-This module replaces those per-value loops with NumPy array operations over
-*all* columns of a batch at once:
+The reference featurizer works on one column and one value at a time in
+pure Python; Table 2 of the paper shows featurization dominating serving
+cost.  This module replaces those per-value loops with NumPy array
+operations over *all* columns of a batch at once:
 
 * one codepoint pass — every value of every column is joined, decoded to a
   flat ``uint32`` codepoint array, and classified through a lazily grown
@@ -15,9 +15,9 @@ This module replaces those per-value loops with NumPy array operations over
 * a single tokenization pass per column feeding one pooled embedding-matrix
   gather that serves both the Word and Para feature groups.
 
-The loop backend (``char_features`` / ``column_statistics`` /
-``ColumnFeaturizer._raw_features``) stays as the oracle: every batched
-function here is tested ``allclose`` against it.
+The per-value loop (``char_features`` / ``column_statistics`` /
+``ColumnFeaturizer.reference_transform_columns``) stays as the reference:
+every batched function here is tested ``allclose`` against it.
 
 Examples:
     >>> import numpy as np
@@ -76,7 +76,7 @@ class _CharPropertyTable:
     """Per-codepoint character properties with exact ``str`` semantics.
 
     ASCII is filled eagerly; other codepoints are computed lazily (via the
-    Python ``str`` methods themselves, so parity with the loop backend is
+    Python ``str`` methods themselves, so parity with the reference loop is
     exact) the first time they appear in a batch, then cached for the life
     of the process.
     """
@@ -608,9 +608,8 @@ class VectorizedEngine:
         >>> from repro.features import ColumnFeaturizer
         >>> tables = CorpusGenerator(CorpusConfig(n_tables=4, seed=0)).generate()
         >>> columns = [c for t in tables for c in t.columns]
-        >>> featurizer = ColumnFeaturizer(word_dim=8, para_dim=4, backend="loop")
-        >>> loop = featurizer.fit(tables).transform_columns(columns)
-        >>> _ = featurizer.set_backend("vectorized")
+        >>> featurizer = ColumnFeaturizer(word_dim=8, para_dim=4).fit(tables)
+        >>> loop = featurizer.reference_transform_columns(columns)
         >>> vectorized = featurizer.transform_columns(columns)
         >>> np.allclose(loop, vectorized, rtol=1e-6, atol=1e-9)
         True

@@ -82,14 +82,12 @@ class ColumnFeaturizer:
         cost of very long columns bounded).
     standardize:
         Whether to z-score features using statistics from :meth:`fit`.
-    backend:
-        Featurization backend: ``"vectorized"`` (the default — batched NumPy
-        array ops via :class:`~repro.features.engine.VectorizedEngine`) or
-        ``"loop"`` (the per-value Python reference implementation, kept as
-        the parity oracle).
-    """
 
-    BACKENDS = ("loop", "vectorized")
+    Columns are featurized by batched NumPy array ops
+    (:class:`~repro.features.engine.VectorizedEngine`);
+    :meth:`reference_transform_columns` is the per-value Python loop they
+    are tested against.
+    """
 
     def __init__(
         self,
@@ -99,17 +97,13 @@ class ColumnFeaturizer:
         standardize: bool = True,
         min_token_count: int = 2,
         seed: int = 0,
-        backend: str = "vectorized",
     ) -> None:
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown feature backend {backend!r}")
         self.word_dim = word_dim
         self.para_dim = para_dim
         self.max_tokens_per_column = max_tokens_per_column
         self.standardize = standardize
         self.min_token_count = min_token_count
         self.seed = seed
-        self.backend = backend
         self.word_model = WordEmbeddingModel(
             dim=word_dim, min_count=min_token_count, seed=seed
         )
@@ -293,33 +287,17 @@ class ColumnFeaturizer:
             self._engine = VectorizedEngine(self)
         return self._engine
 
-    def runtime_clone(self, backend: str | None = None) -> "ColumnFeaturizer":
+    def runtime_clone(self) -> "ColumnFeaturizer":
         """A copy with independent runtime settings but shared fitted state.
 
         The clone aliases the (immutable once fitted) embedding substrate
-        and standardiser arrays, but owns its backend setting and its engine
-        (memos), so reconfiguring it never affects the original — every
-        :class:`~repro.serving.Predictor` serves through its own clone.
+        and standardiser arrays, but owns its sketch-store setting and its
+        engine (memos), so reconfiguring it never affects the original —
+        every :class:`~repro.serving.Predictor` serves through its own clone.
         """
         clone = copy.copy(self)
         clone._engine = None
-        if backend is not None:
-            clone.set_backend(backend)
         return clone
-
-    def set_backend(self, backend: str) -> "ColumnFeaturizer":
-        """Switch the featurization backend.
-
-        The backend is runtime behaviour, not fitted state: switching never
-        invalidates the embedding substrate or the standardiser, and the two
-        backends produce the same features to floating-point round-off.
-        """
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown feature backend {backend!r}")
-        self.backend = backend
-        # Sketch sections are keyed by producer (= backend): re-resolve.
-        self._sketch_section = None
-        return self
 
     def set_sketch_store(
         self, store, sample_rows: int | None = None
@@ -346,15 +324,6 @@ class ColumnFeaturizer:
         self._sketch_section = None
         return self
 
-    def _raw_features(self, column: Column) -> np.ndarray:
-        """The loop (oracle) backend: featurize one column in pure Python."""
-        tokens = tokenize_values(column.values)[: self.max_tokens_per_column]
-        char_vector = char_features(column.values)
-        word_vector = self.word_model.mean_vector(tokens)
-        para_vector = self.paragraph_embedder.embed(tokens)
-        stat_vector = column_statistics(column.values)
-        return np.concatenate([char_vector, word_vector, para_vector, stat_vector])
-
     # ------------------------------------------------------------ streaming
 
     def column_accumulator(self, max_tokens: int | None = None):
@@ -378,10 +347,10 @@ class ColumnFeaturizer:
     def _raw_from_accumulator(self, accumulator) -> np.ndarray:
         """Raw features from accumulated state.
 
-        Bit-identical to :meth:`_raw_features` on the same values: the
-        Char/Stat accumulators ARE the loop implementation, and the token
-        accumulator reassembles the exact capped prefix the loop path
-        tokenizes.
+        Bit-identical to :meth:`reference_transform_columns`' raw row for
+        the same values: the Char/Stat accumulators ARE the loop
+        implementation, and the token accumulator reassembles the exact
+        capped prefix the loop path tokenizes.
         """
         tokens = accumulator.token_list()[: self.max_tokens_per_column]
         char_vector = accumulator.char.finalize()
@@ -438,24 +407,18 @@ class ColumnFeaturizer:
                 )
         return self.finalize_columns(accumulators)
 
-    def _compute_raw(self, columns: Sequence[Column]) -> np.ndarray:
-        """Raw (unstandardized) features for a batch, via the active backend."""
-        if self.backend == "vectorized":
-            return self.engine.transform(columns)
-        return np.stack([self._raw_features(column) for column in columns])
-
     def _raw_matrix(self, columns: Sequence[Column]) -> np.ndarray:
         """Raw features for a batch, read through the sketch store when set.
 
         Hits are served from stored raw rows (bit-identical to the run
-        that stored them); misses are computed through the active backend
-        — from a bounded sample when ``sketch_sample_rows`` is set — and
-        written back.
+        that stored them); misses are computed by the engine — from a
+        bounded sample when ``sketch_sample_rows`` is set — and written
+        back.
         """
         store = self.sketch_store
         sample = self.sketch_sample_rows
         if store is None and sample is None:
-            return self._compute_raw(columns)
+            return self.engine.transform(columns)
         from repro.features import sketchstore
 
         keys: list[str] | None = None
@@ -465,7 +428,7 @@ class ColumnFeaturizer:
             if section is None:
                 section = store.section(
                     sketchstore.column_section_config(
-                        self, producer=self.backend, sample_rows=sample
+                        self, producer="vectorized", sample_rows=sample
                     )
                 )
                 self._sketch_section = section
@@ -489,7 +452,7 @@ class ColumnFeaturizer:
             todo = [columns[index] for index in missing]
             if sample is not None:
                 todo = [sketchstore.sampled_column(column, sample) for column in todo]
-            computed = self._compute_raw(todo)
+            computed = self.engine.transform(todo)
             for position, index in enumerate(missing):
                 row = computed[position]
                 rows[index] = row
@@ -515,16 +478,39 @@ class ColumnFeaturizer:
     def transform_columns(self, columns: Sequence[Column]) -> np.ndarray:
         """Featurize a batch of columns into an (m, n_features) matrix.
 
-        Raw features are computed for the whole batch at once (array ops
-        under the vectorized backend, a Python loop under the loop backend)
-        and standardised in one vectorised operation; this is the building
-        block of both the training path and the batched serving path.
+        Raw features are computed for the whole batch at once by the
+        vectorized engine and standardised in one vectorised operation;
+        this is the building block of both the training path and the
+        batched serving path.
         """
         if not columns:
             return np.zeros((0, self.n_features), dtype=np.float64)
         if not self._fitted:
             raise RuntimeError("featurizer must be fitted before transform")
         return self.standardize_matrix(self._raw_matrix(columns))
+
+    def reference_transform_columns(self, columns: Sequence[Column]) -> np.ndarray:
+        """:meth:`transform_columns` by the per-value Python loop.
+
+        The reference the engine is tested against: same standardisation,
+        same output shape, equal to :meth:`transform_columns` to
+        floating-point round-off.  It never reads the sketch store.
+        """
+        if not columns:
+            return np.zeros((0, self.n_features), dtype=np.float64)
+        if not self._fitted:
+            raise RuntimeError("featurizer must be fitted before transform")
+        rows = []
+        for column in columns:
+            tokens = tokenize_values(column.values)[: self.max_tokens_per_column]
+            char_vector = char_features(column.values)
+            word_vector = self.word_model.mean_vector(tokens)
+            para_vector = self.paragraph_embedder.embed(tokens)
+            stat_vector = column_statistics(column.values)
+            rows.append(
+                np.concatenate([char_vector, word_vector, para_vector, stat_vector])
+            )
+        return self.standardize_matrix(np.stack(rows))
 
     def transform_tables(self, tables: Sequence[Table]) -> FeatureMatrix:
         """Featurize every column of every table into one feature matrix.
@@ -563,7 +549,6 @@ class ColumnFeaturizer:
             "standardize": self.standardize,
             "min_token_count": self.min_token_count,
             "seed": self.seed,
-            "backend": self.backend,
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ Design points:
   they are not model input.
 * **Sections are config hashes.**  A sketch is only reusable under the
   featurizer configuration that produced it, so entries live in sections
-  keyed by a hash over the store format version, the producer (backend),
+  keyed by a hash over the store format version, the producing code path,
   the char vocabulary, the token caps, the sampling dial and the fitted
   substrate (:func:`state_hash` over the embedding arrays).  A config
   mismatch is simply a different section — a miss, never a wrong hit.
@@ -226,8 +226,10 @@ def column_section_config(
     """Section config for fitted-featurizer column sketches.
 
     ``producer`` names the code path that computed the rows (the
-    ``"accumulator"`` streaming path, or a transform backend name), so
-    paths with different bit-level guarantees never share entries.
+    ``"accumulator"`` streaming path, or ``"vectorized"`` for the engine
+    behind ``transform_columns``), so paths with different bit-level
+    guarantees never share entries.  The name is part of the section id:
+    changing it would turn every stored row into a miss.
     """
     if token_cap is None:
         token_cap = featurizer.max_tokens_per_column

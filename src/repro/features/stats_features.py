@@ -58,6 +58,13 @@ STAT_FEATURE_NAMES: list[str] = [
 assert len(STAT_FEATURE_NAMES) == 27
 
 
+#: The largest magnitude a cell parses to a number; beyond it the cell is
+#: text.  Bigger finite numbers overflow the squared deviations of the
+#: statistics (``1e200 ** 2`` is inf); under the bound each squared
+#: deviation is at most 4e200, so sums and variances stay finite.
+_MAX_NUMBER = 1e100
+
+
 def _try_parse_number(value: str) -> float | None:
     text = value.strip().replace(",", "").replace("$", "").replace("%", "")
     if not text:
@@ -66,9 +73,8 @@ def _try_parse_number(value: str) -> float | None:
         number = float(text)
     except ValueError:
         return None
-    # Reject "inf"/"nan" spellings: they parse but are not table numbers and
-    # would poison the downstream statistics.
-    return number if math.isfinite(number) else None
+    # The one comparison also rejects the "inf" and "nan" spellings.
+    return number if abs(number) <= _MAX_NUMBER else None
 
 
 def _weighted_median(sorted_pairs: list[tuple[float, int]], n: int) -> float:

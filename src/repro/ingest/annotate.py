@@ -7,7 +7,8 @@ sources in bounded memory: each column folds into one
 *finalized* per-column features (plus the capped table-document token
 prefix for the topic model) ever exist at once.  The resulting
 predictions are bit-identical to loading the whole table in memory and
-predicting through the loop-backend reference path — enforced by the
+predicting through the per-value reference featurizer
+(``ColumnFeaturizer.reference_transform_columns``) — enforced by the
 streaming parity tests.
 
 With a :class:`~repro.features.sketchstore.SketchStore` attached, the

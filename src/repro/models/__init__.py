@@ -11,17 +11,17 @@
 * :class:`~repro.models.attention.AttentionColumnModel` — the
   "featurisation-free" learned-representation substitute for the BERT
   experiment of Section 6, plugged in through the same interface.
-* :mod:`repro.models.batched` — the padded/masked batched inference core
-  behind ``model_backend="batched"``: one column-network forward pass and
-  one masked Viterbi decode for a whole batch of tables.
+* :mod:`repro.models.batched` — the layout helpers behind
+  ``SatoModel.predict_tables``: one column-network forward pass and one
+  masked Viterbi decode for a whole batch of tables.
 """
 
 from repro.models.base import ColumnModel, TrainingConfig
-from repro.models.batched import BatchedInferenceCore, pad_unaries, split_by_table
+from repro.models.batched import pad_unaries, split_by_table
 from repro.models.column_network import MultiInputClassifier, NetworkTrainer
 from repro.models.sherlock import SherlockModel
 from repro.models.topic_aware import TopicAwareModel
-from repro.models.sato import MODEL_BACKENDS, SatoConfig, SatoModel
+from repro.models.sato import SatoConfig, SatoModel
 from repro.models.attention import AttentionColumnModel
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "TopicAwareModel",
     "SatoConfig",
     "SatoModel",
-    "MODEL_BACKENDS",
-    "BatchedInferenceCore",
     "pad_unaries",
     "split_by_table",
     "AttentionColumnModel",

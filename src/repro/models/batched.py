@@ -1,18 +1,16 @@
-"""Padded/masked batched model-core inference (the ``batched`` backend).
+"""Layout helpers for batched model-core inference.
 
-The structured-prediction stage is the last per-table hot path of the
-serving stack: featurization is vectorized (``repro.features.engine``) and
-requests are micro-batched (``repro.serving.scheduler``), but the column
-network forward and the CRF Viterbi decode historically ran one table at a
-time.  This module batches both across a whole micro-batch:
+``SatoModel.predict_tables`` serves a whole micro-batch of tables through
+one column-network forward pass and one structured decode:
 
 * **Forward** — every column of every table is flattened onto one *column
-  axis* (table boundaries recorded as offsets), featurized in a single
-  batched call and pushed through the column network as one matrix, so each
-  layer is one matmul over ``sum(n_columns)`` rows regardless of how many
-  tables the batch holds.
-* **Decode** — the per-table column-wise score matrices are packed into a
-  padded ``(n_tables, max_cols, n_types)`` log-unary tensor plus a
+  axis*, featurized in a single batched call and pushed through the column
+  network as one matrix, so each layer is one matmul over
+  ``sum(n_columns)`` rows regardless of how many tables the batch holds;
+  :func:`split_by_table` cuts the score matrix back into one slice per
+  table.
+* **Decode** — :func:`pad_unaries` packs the per-table score matrices into
+  a padded ``(n_tables, max_cols, n_types)`` log-unary tensor plus a
   ``lengths`` vector, and :meth:`~repro.crf.LinearChainCRF.viterbi_batch`
   decodes every chain simultaneously with length masking: one vectorised
   recurrence step per column *position* instead of per column.  Padded
@@ -25,22 +23,17 @@ decoded labels, including on 1-column tables and tie-breaking unaries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.obs import span
 from repro.tables import Table
-from repro.types import INDEX_TO_TYPE
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sato imports us)
-    from repro.models.sato import SatoModel
+__all__ = ["pad_unaries", "split_by_table"]
 
-__all__ = ["pad_unaries", "split_by_table", "BatchedInferenceCore"]
-
-#: Mirrors ``repro.models.sato._LOG_EPS`` (kept literal to avoid an import
-#: cycle): the same epsilon must be used so batched log-unaries are
-#: bit-identical to the loop path's.
+#: The epsilon of every ``log(p + eps)`` unary; ``repro.models.sato`` uses
+#: this one constant, so batched log-unaries are bit-identical to the
+#: per-table path's.
 _LOG_EPS = 1e-12
 
 
@@ -112,104 +105,3 @@ def pad_unaries(
         positions = np.arange(total) - starts
         unaries[rows, positions] = np.log(flat + _LOG_EPS)
     return unaries, lengths
-
-
-class BatchedInferenceCore:
-    """Batched forward + batched structured decode over a fitted Sato model.
-
-    Wraps a fitted :class:`~repro.models.sato.SatoModel` and serves whole
-    batches of tables through one column-network forward pass and one
-    masked :meth:`~repro.crf.LinearChainCRF.viterbi_batch` decode.  This is
-    what ``model_backend="batched"`` routes to in
-    :meth:`SatoModel.predict_tables` and in the serving
-    :class:`~repro.serving.Predictor`.
-
-    Examples:
-        >>> from repro.corpus import CorpusConfig, CorpusGenerator
-        >>> from repro.models import SatoConfig, SatoModel, TrainingConfig
-        >>> from repro.models.batched import BatchedInferenceCore
-        >>> tables = CorpusGenerator(CorpusConfig(n_tables=6, seed=2)).generate()
-        >>> config = SatoConfig(use_topic=False, use_struct=False,
-        ...                     training=TrainingConfig(n_epochs=1,
-        ...                                             subnet_dim=4,
-        ...                                             hidden_dim=8))
-        >>> model = SatoModel(config=config).fit(tables)
-        >>> core = BatchedInferenceCore(model)
-        >>> batched = core.predict_tables(tables[:3])
-        >>> batched == [model.predict_table(t) for t in tables[:3]]
-        True
-    """
-
-    def __init__(self, model: "SatoModel") -> None:
-        self.model = model
-
-    # ------------------------------------------------------------- forward
-
-    def columnwise_proba(self, tables: Sequence[Table]) -> list[np.ndarray]:
-        """Column-wise scores per table from one batched forward pass."""
-        return self.model.column_model.predict_proba_tables(tables)
-
-    # -------------------------------------------------------------- decode
-
-    def labels_from_proba(self, probabilities: Sequence[np.ndarray]) -> list[list[str]]:
-        """Decode every table's labels given per-table column-wise scores.
-
-        Tables the CRF applies to (structured variant, fitted CRF, more
-        than one column) are decoded together by ``viterbi_batch`` over one
-        padded tensor; all remaining columns are decoded by a single
-        ``argmax`` over their concatenation.  Both halves are bit-identical
-        to the per-table loop (``SatoModel.labels_from_proba``).
-        """
-        model = self.model
-        probabilities = list(probabilities)
-        results: list[list[str] | None] = [None] * len(probabilities)
-
-        structured = [
-            i for i, proba in enumerate(probabilities) if model._crf_active(proba)
-        ]
-        structured_set = set(structured)
-        independent = [i for i in range(len(probabilities)) if i not in structured_set]
-
-        if independent:
-            with span("decode.argmax", n_tables=len(independent)):
-                matrices = [probabilities[i] for i in independent]
-                lengths = [matrix.shape[0] for matrix in matrices]
-                if sum(lengths):
-                    flat = np.argmax(np.concatenate(matrices, axis=0), axis=1)
-                else:
-                    flat = np.zeros(0, dtype=np.int64)
-                offset = 0
-                for i, length in zip(independent, lengths):
-                    results[i] = [
-                        INDEX_TO_TYPE[int(k)] for k in flat[offset : offset + length]
-                    ]
-                    offset += length
-
-        if structured:
-            assert model.crf is not None
-            unaries, lengths = pad_unaries(
-                [probabilities[i] for i in structured], model.crf.n_states
-            )
-            decoded_chains = model.crf.viterbi_batch(unaries, lengths)
-            for i, decoded in zip(structured, decoded_chains):
-                results[i] = [INDEX_TO_TYPE[int(k)] for k in decoded]
-
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------- serving
-
-    def predict_tables(self, tables: Sequence[Table]) -> list[list[str]]:
-        """Decoded semantic types per table, end-to-end batched."""
-        return self.labels_from_proba(self.columnwise_proba(tables))
-
-    def predict_proba_tables(self, tables: Sequence[Table]) -> list[np.ndarray]:
-        """Structured per-column distributions per table.
-
-        The forward pass is batched; the CRF *marginal* decode (unlike
-        Viterbi) still runs per table — posterior marginals need a full
-        forward-backward per chain and are off the label-serving hot path.
-        """
-        return [
-            self.model.marginals_from_proba(proba)
-            for proba in self.columnwise_proba(tables)
-        ]

@@ -25,19 +25,14 @@ from repro.corpus.statistics import adjacent_cooccurrence_matrix
 from repro.crf import CRFTrainer, CRFTrainingExample, LinearChainCRF
 from repro.features import ColumnFeaturizer
 from repro.models.base import ColumnModel, TrainingConfig
+from repro.models.batched import _LOG_EPS, pad_unaries
 from repro.models.sherlock import SherlockModel
 from repro.models.topic_aware import TopicAwareModel
+from repro.obs import span
 from repro.tables import Table
 from repro.types import INDEX_TO_TYPE, NUM_TYPES, TYPE_TO_INDEX
 
-__all__ = ["MODEL_BACKENDS", "SatoConfig", "SatoModel"]
-
-_LOG_EPS = 1e-12
-
-#: Inference backends for batch prediction: ``loop`` decodes one table at a
-#: time (the parity oracle), ``batched`` runs one forward pass and one
-#: masked Viterbi over the whole batch (see :mod:`repro.models.batched`).
-MODEL_BACKENDS = ("loop", "batched")
+__all__ = ["SatoConfig", "SatoModel"]
 
 
 @dataclass
@@ -85,9 +80,6 @@ class SatoModel(ColumnModel):
             )
         self.crf: LinearChainCRF | None = None
         self.name = self._variant_name()
-        #: Batch-inference backend (runtime knob, not fitted state).
-        self.model_backend = "batched"
-        self._batched_core = None
 
     def _variant_name(self) -> str:
         if self.config.use_topic and self.config.use_struct:
@@ -119,31 +111,6 @@ class SatoModel(ColumnModel):
     def base(cls, **kwargs) -> "SatoModel":
         """The single-column Base model wrapped in the Sato interface."""
         return cls(config=SatoConfig(use_topic=False, use_struct=False, **kwargs))
-
-    def set_feature_backend(self, backend: str) -> "SatoModel":
-        """Switch the column featurization backend for training and serving.
-
-        Delegates to the column model's featurizer; see
-        :meth:`repro.features.featurizer.ColumnFeaturizer.set_backend`.
-        """
-        self.column_model.set_feature_backend(backend)
-        return self
-
-    def set_model_backend(self, backend: str) -> "SatoModel":
-        """Switch the batch-inference backend (``loop`` or ``batched``).
-
-        Purely a runtime-performance knob: both backends decode the same
-        labels (the per-table loop is the batched path's parity oracle), so
-        it never changes results — only how much Python runs per table.
-        Applies to the batch entry points (:meth:`predict_tables`,
-        :meth:`predict_proba_tables`); single-table calls always loop.
-        """
-        if backend not in MODEL_BACKENDS:
-            raise ValueError(
-                f"unknown model backend {backend!r}; expected one of {MODEL_BACKENDS}"
-            )
-        self.model_backend = backend
-        return self
 
     # ------------------------------------------------------------- training
 
@@ -228,27 +195,52 @@ class SatoModel(ColumnModel):
             indices = probabilities.argmax(axis=1)
         return [INDEX_TO_TYPE[int(i)] for i in indices]
 
-    def _core(self):
-        """The lazily built batched inference core (shared across calls)."""
-        if self._batched_core is None:
-            from repro.models.batched import BatchedInferenceCore
-
-            self._batched_core = BatchedInferenceCore(self)
-        return self._batched_core
-
     def labels_from_proba_batch(
         self, probabilities: Sequence[np.ndarray]
     ) -> list[list[str]]:
         """Batched structured decode given per-table column-wise scores.
 
-        Packs every CRF-eligible table into one padded unary tensor and
-        decodes all chains with a single masked Viterbi recurrence;
-        remaining columns are decoded by one shared ``argmax``.  Decoded
-        labels are bit-identical to calling :meth:`labels_from_proba` per
-        table.  This is the serving hot path behind
-        ``model_backend="batched"``.
+        Tables the CRF applies to (structured variant, fitted CRF, more
+        than one column) are packed into one padded unary tensor and
+        decoded together by one masked
+        :meth:`~repro.crf.LinearChainCRF.viterbi_batch` recurrence; all
+        remaining columns are decoded by one ``argmax`` over their
+        concatenation.  Decoded labels are bit-identical to calling
+        :meth:`labels_from_proba` per table.  This is the serving hot path.
         """
-        return self._core().labels_from_proba(probabilities)
+        probabilities = list(probabilities)
+        results: list[list[str] | None] = [None] * len(probabilities)
+        structured = [
+            i for i, proba in enumerate(probabilities) if self._crf_active(proba)
+        ]
+        structured_set = set(structured)
+        independent = [i for i in range(len(probabilities)) if i not in structured_set]
+
+        if independent:
+            with span("decode.argmax", n_tables=len(independent)):
+                matrices = [probabilities[i] for i in independent]
+                lengths = [matrix.shape[0] for matrix in matrices]
+                if sum(lengths):
+                    flat = np.argmax(np.concatenate(matrices, axis=0), axis=1)
+                else:
+                    flat = np.zeros(0, dtype=np.int64)
+                offset = 0
+                for i, length in zip(independent, lengths):
+                    results[i] = [
+                        INDEX_TO_TYPE[int(k)] for k in flat[offset : offset + length]
+                    ]
+                    offset += length
+
+        if structured:
+            assert self.crf is not None
+            unaries, lengths = pad_unaries(
+                [probabilities[i] for i in structured], self.crf.n_states
+            )
+            decoded_chains = self.crf.viterbi_batch(unaries, lengths)
+            for i, decoded in zip(structured, decoded_chains):
+                results[i] = [INDEX_TO_TYPE[int(k)] for k in decoded]
+
+        return results  # type: ignore[return-value]
 
     def predict_proba_table(self, table: Table) -> np.ndarray:
         """Per-column type distributions.
@@ -259,33 +251,35 @@ class SatoModel(ColumnModel):
         return self.marginals_from_proba(self.column_model.predict_proba_table(table))
 
     def predict_table(self, table: Table) -> list[str]:
-        """Predicted semantic type per column (Viterbi when the CRF is on)."""
+        """Predicted semantic type per column (Viterbi when the CRF is on).
+
+        One table at a time: the parity oracle of :meth:`predict_tables`.
+        """
         return self.labels_from_proba(self.column_model.predict_proba_table(table))
 
     def predict_tables(self, tables: Sequence[Table]) -> list[list[str]]:
-        """Predicted types for a batch of tables (honours ``model_backend``).
+        """Predicted types for a batch of tables.
 
-        Under the default ``batched`` backend this is one featurization
-        call, one column-network forward pass and one masked Viterbi over
-        the whole batch; under ``loop`` it decodes per table (the parity
-        oracle).
+        One featurization call, one column-network forward pass and one
+        masked Viterbi over the whole batch; the labels equal
+        :meth:`predict_table` run on each table.
         """
-        tables = list(tables)
-        if self.model_backend == "loop":
-            return [self.predict_table(table) for table in tables]
-        return self._core().predict_tables(tables)
+        return self.labels_from_proba_batch(
+            self.column_model.predict_proba_tables(tables)
+        )
 
     def predict_proba_tables(self, tables: Sequence[Table]) -> list[np.ndarray]:
         """Structured per-column distributions for a batch of tables.
 
-        The ``batched`` backend batches featurization and the forward pass;
-        the marginal decode itself stays per table (see
-        :meth:`repro.models.batched.BatchedInferenceCore.predict_proba_tables`).
+        Featurization and the forward pass are batched; the CRF *marginal*
+        decode (unlike Viterbi) still runs per table — posterior marginals
+        need a full forward-backward per chain and are off the
+        label-serving hot path.
         """
-        tables = list(tables)
-        if self.model_backend == "loop":
-            return [self.predict_proba_table(table) for table in tables]
-        return self._core().predict_proba_tables(tables)
+        return [
+            self.marginals_from_proba(proba)
+            for proba in self.column_model.predict_proba_tables(tables)
+        ]
 
     def column_embeddings(self, table: Table) -> np.ndarray:
         """Column embeddings from the column-wise model (before the CRF)."""

@@ -53,16 +53,6 @@ class SherlockModel(ColumnModel):
             )
         return specs
 
-    def set_feature_backend(self, backend: str) -> "SherlockModel":
-        """Switch the featurization backend (loop / vectorized).
-
-        Purely a runtime-performance knob: both backends produce the same
-        features to floating-point round-off, so it is safe to train with
-        one and serve with the other.
-        """
-        self.featurizer.set_backend(backend)
-        return self
-
     def split_features(self, features: np.ndarray) -> dict[str, np.ndarray]:
         """Split a full feature matrix into per-group inputs."""
         features = np.atleast_2d(features)

@@ -40,11 +40,10 @@ __all__ = [
     "run_suite_gates",
 ]
 
-#: Default promotion-gate thresholds, shared by the CLI and
-#: ``ExperimentConfig.gate_*`` so one edit retunes both.  The F1 floor is
-#: deliberately modest (the tiny synthetic corpora of tests/benchmarks top
-#: out well below paper-scale accuracy); production deployments should set
-#: their own via ``promote --min-f1/--min-agreement``.
+#: Default promotion-gate thresholds: the defaults of ``registry promote
+#: --min-f1/--min-agreement``.  The F1 floor is deliberately modest (the
+#: tiny synthetic corpora of tests/benchmarks top out well below
+#: paper-scale accuracy); production deployments should set their own.
 DEFAULT_GATE_MIN_F1 = 0.5
 DEFAULT_GATE_MIN_AGREEMENT = 0.85
 

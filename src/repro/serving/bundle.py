@@ -175,9 +175,12 @@ def _build_column_model(column_config: dict) -> SherlockModel:
     """Rebuild an unfitted column model from its ``config_dict``."""
     training = TrainingConfig(**column_config["training"])
     featurizer_config = dict(column_config["featurizer"])
-    # Bundles written while the featurizer had a process pool carry a
-    # ``"workers": 0`` entry; the pool is gone, so the key is dropped.
+    # Retired runtime settings that older bundles still carry: ``"workers"``
+    # (the featurizer's process pool) and ``"backend"`` (the choice of the
+    # per-value loop or the engine).  Neither is fitted state, so both are
+    # dropped.
     featurizer_config.pop("workers", None)
+    featurizer_config.pop("backend", None)
     featurizer = ColumnFeaturizer(**featurizer_config)
     model_type = column_config.get("type")
     if model_type == "TopicAwareModel":

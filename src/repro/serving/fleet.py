@@ -193,8 +193,6 @@ class WorkerSpec:
     model_name: str | None
     model_version: str | None
     cache_size: int
-    feature_backend: str | None
-    model_backend: str
     max_batch_size: int
     max_wait_ms: float
     metrics_window: int
@@ -216,8 +214,6 @@ class _WorkerRuntime:
             spec.bundle_path,
             spec.store_path,
             cache_size=spec.cache_size,
-            feature_backend=spec.feature_backend,
-            model_backend=spec.model_backend,
             model_name=spec.model_name,
             model_version=spec.model_version,
         )
@@ -422,7 +418,7 @@ class ServingFleet:
         The model source, exactly like :class:`~repro.serving.Predictor`:
         either a loose bundle directory, or a registry name (serving the
         promoted version unless ``model_version`` pins one).
-    cache_size / feature_backend / model_backend:
+    cache_size:
         Forwarded to every worker's :class:`~repro.serving.Predictor`.
     max_batch_size / max_wait_ms:
         Per-worker greedy micro-batching policy (same meaning as
@@ -456,8 +452,6 @@ class ServingFleet:
         model_name: str | None = None,
         model_version: str | None = None,
         cache_size: int = 4096,
-        feature_backend: str | None = None,
-        model_backend: str = "batched",
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -477,8 +471,6 @@ class ServingFleet:
         self.registry = registry
         self.model_name = model_name
         self.cache_size = cache_size
-        self.feature_backend = feature_backend
-        self.model_backend = model_backend
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
@@ -593,8 +585,6 @@ class ServingFleet:
             model_name=self.model_name,
             model_version=self._version,
             cache_size=self.cache_size,
-            feature_backend=self.feature_backend,
-            model_backend=self.model_backend,
             max_batch_size=self.max_batch_size,
             max_wait_ms=self.max_wait_ms,
             metrics_window=self.metrics._latencies.maxlen or 1024,

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.features import sketchstore
-from repro.models import MODEL_BACKENDS, SatoModel, TopicAwareModel
+from repro.models import SatoModel, TopicAwareModel
 from repro.obs import span
 from repro.models.batched import split_by_table
 from repro.serving.bundle import load_model, model_fingerprint
@@ -132,15 +132,6 @@ class Predictor:
         call), so cached topic vectors are bit-identical to recomputed
         ones — and topic inference is the most expensive per-table step of
         the serving path, so repeated traffic gains the most here.
-    feature_backend:
-        Optional featurization backend override (``"loop"`` or
-        ``"vectorized"``) applied to the model's featurizer.
-    model_backend:
-        Batch-decode backend: ``"batched"`` (default) decodes every
-        CRF-eligible table of a batch in one masked Viterbi pass
-        (:mod:`repro.models.batched`); ``"loop"`` keeps the per-table
-        decode (the bit-exact parity oracle).  Stored on the predictor, not
-        the model, so two predictors over one model can differ.
     sketch_store:
         Optional persistent sketch store — a
         :class:`~repro.features.sketchstore.SketchStore` or a store
@@ -175,8 +166,6 @@ class Predictor:
         self,
         model: SatoModel,
         cache_size: int = 4096,
-        feature_backend: str | None = None,
-        model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
         sketch_store=None,
@@ -184,26 +173,17 @@ class Predictor:
     ) -> None:
         if model.column_model.network is None:
             raise RuntimeError("Predictor requires a fitted model")
-        if model_backend not in MODEL_BACKENDS:
-            raise ValueError(
-                f"unknown model backend {model_backend!r}; "
-                f"expected one of {MODEL_BACKENDS}"
-            )
         self.model = model
-        self.model_backend = model_backend
         self.column_model = model.column_model
-        self._feature_backend = feature_backend
         self.sketch_store, self._owns_sketch_store = sketchstore.open_store(
             sketch_store
         )
         self.sketch_sample_rows = sketch_sample_rows
         self._topic_section: str | None = None
-        # A runtime clone shares all fitted state but owns its backend
+        # A runtime clone shares all fitted state but owns its sketch-store
         # setting and engine, so two predictors over the same model (or the
         # model's own training featurizer) never fight over them.
-        self.featurizer = model.column_model.featurizer.runtime_clone(
-            backend=feature_backend
-        )
+        self.featurizer = model.column_model.featurizer.runtime_clone()
         if self.sketch_store is not None or sketch_sample_rows is not None:
             self.featurizer.set_sketch_store(self.sketch_store, sketch_sample_rows)
         self.cache = LRUCache(cache_size)
@@ -239,8 +219,6 @@ class Predictor:
         cls,
         path,
         cache_size: int = 4096,
-        feature_backend: str | None = None,
-        model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
         sketch_store=None,
@@ -250,8 +228,6 @@ class Predictor:
         return cls(
             load_model(path),
             cache_size=cache_size,
-            feature_backend=feature_backend,
-            model_backend=model_backend,
             model_name=model_name,
             model_version=model_version,
             sketch_store=sketch_store,
@@ -264,8 +240,6 @@ class Predictor:
         bundle_path,
         store_path,
         cache_size: int = 4096,
-        feature_backend: str | None = None,
-        model_backend: str = "batched",
         model_name: str | None = None,
         model_version: str | None = None,
     ) -> "Predictor":
@@ -283,8 +257,6 @@ class Predictor:
         predictor = cls(
             model,
             cache_size=cache_size,
-            feature_backend=feature_backend,
-            model_backend=model_backend,
             model_name=model_name,
             model_version=model_version,
         )
@@ -298,8 +270,6 @@ class Predictor:
         name: str,
         version: str | None = None,
         cache_size: int = 4096,
-        feature_backend: str | None = None,
-        model_backend: str = "batched",
         sketch_store=None,
         sketch_sample_rows: int | None = None,
     ) -> "Predictor":
@@ -312,8 +282,6 @@ class Predictor:
         return cls(
             model,
             cache_size=cache_size,
-            feature_backend=feature_backend,
-            model_backend=model_backend,
             model_name=info.name,
             model_version=info.version,
             sketch_store=sketch_store,
@@ -375,9 +343,7 @@ class Predictor:
             changed = fingerprint != self.fingerprint
             self.model = model
             self.column_model = model.column_model
-            self.featurizer = model.column_model.featurizer.runtime_clone(
-                backend=self._feature_backend
-            )
+            self.featurizer = model.column_model.featurizer.runtime_clone()
             if self.sketch_store is not None or self.sketch_sample_rows is not None:
                 # Re-resolve sections lazily: a new substrate hashes to a
                 # new section, so old sketches become misses, not wrong hits.
@@ -554,10 +520,9 @@ class Predictor:
     def predict_tables(self, tables: Sequence[Table]) -> list[list[str]]:
         """Predicted semantic types for every column of every table.
 
-        Under the default ``batched`` model backend the structured decode
-        runs once for the whole batch (one masked Viterbi recurrence over a
-        padded unary tensor) instead of once per table; ``loop`` keeps the
-        per-table decode as the parity oracle.
+        The structured decode runs once for the whole batch (one masked
+        Viterbi recurrence over a padded unary tensor) instead of once per
+        table; the labels equal ``SatoModel.predict_table`` on each table.
 
         The whole batch — featurization, forward pass, structured decode —
         runs under the swap lock, so a concurrent :meth:`swap_model` can
@@ -570,9 +535,7 @@ class Predictor:
             self.last_batch_version = self.model_version
             probabilities = self._columnwise_proba(tables)
             with span("decode", n_tables=len(tables)):
-                if self.model_backend == "batched":
-                    return self.model.labels_from_proba_batch(probabilities)
-                return [self.model.labels_from_proba(proba) for proba in probabilities]
+                return self.model.labels_from_proba_batch(probabilities)
 
     def predict_proba_table(self, table: Table) -> np.ndarray:
         """Structured per-column type distributions for one table."""
@@ -647,8 +610,8 @@ class Predictor:
         ``batches`` (number of ``predict*`` calls), ``tables`` and
         ``columns`` (work volume), ``predict_seconds`` (time spent in
         featurization, table-topic inference and the column-network
-        forward, excluding structured decode), and the active
-        ``model_backend``.  The online server surfaces this under the
+        forward, excluding structured decode), and the serving model's
+        identity.  The online server surfaces this under the
         ``predictor`` key of ``GET /metrics``.
         """
         return {
@@ -656,7 +619,6 @@ class Predictor:
             "tables": self._tables,
             "columns": self._columns,
             "predict_seconds": self._predict_seconds,
-            "model_backend": self.model_backend,
             "model_name": self._model_name,
             "model_version": self.model_version,
             "model_fingerprint": self.fingerprint,

@@ -56,9 +56,9 @@ __all__ = [
     "ServingMetrics",
 ]
 
-#: The default micro-batching policy, shared by the scheduler, the HTTP
-#: server, the CLI and ``ExperimentConfig.serve_*`` so one edit retunes
-#: every entry point consistently.
+#: The default micro-batching policy, shared by the scheduler, the fleet,
+#: the CLI and the serving benchmarks so one edit retunes every entry point
+#: consistently.
 DEFAULT_MAX_BATCH_SIZE = 32
 DEFAULT_MAX_WAIT_MS = 2.0
 DEFAULT_MAX_QUEUE = 256

@@ -736,7 +736,7 @@ class ServingServer:
     async def _predict(self, body: bytes):
         if self._draining:
             self.metrics.record_rejected_draining()
-            return 503, {"error": "server is draining"}
+            return 503, {"error": "server is draining"}, {}, {"outcome": "draining"}
         try:
             with get_tracer().span("request.parse"):
                 table = _predict_payload(body)
@@ -769,20 +769,23 @@ class ServingServer:
     async def _predict_batch(self, body: bytes):
         if self._draining:
             self.metrics.record_rejected_draining()
-            return 503, {"error": "server is draining"}
+            return 503, {"error": "server is draining"}, {}, {"outcome": "draining"}
         try:
-            tables = _predict_batch_payload(body)
+            with get_tracer().span("request.parse"):
+                tables = _predict_batch_payload(body)
         except MalformedRequest as error:
             self.metrics.record_malformed()
-            return 400, {"error": str(error)}
+            return 400, {"error": str(error)}, {}, {"outcome": "malformed"}
         try:
             results = await self.batcher.submit_many_versioned(tables)
         except QueueFullError as error:
-            return 429, {"error": str(error)}
+            return 429, {"error": str(error)}, {}, {"outcome": "queue_full"}
         except DrainingError as error:
-            return 503, {"error": str(error)}
+            return 503, {"error": str(error)}, {}, {"outcome": "draining"}
         except Exception as error:
-            return 500, {"error": f"prediction failed: {error}"}
+            return 500, {"error": f"prediction failed: {error}"}, {}, {
+                "outcome": "error"
+            }
         for table, (labels, _version) in zip(tables, results):
             self._mirror_to_shadow(table, labels)
         # Tables of one batch request can straddle a hot swap (they are
@@ -790,12 +793,18 @@ class ServingServer:
         # each result object carries its own.
         versions = [version for _labels, version in results if version is not None]
         headers = {"X-Model-Version": str(versions[-1])} if versions else {}
+        fields = {
+            "outcome": "ok",
+            "model_version": versions[-1] if versions else None,
+            "n_tables": len(tables),
+            "n_columns": sum(table.n_columns for table in tables),
+        }
         return 200, {
             "results": [
                 _table_result(table, labels, version)
                 for table, (labels, version) in zip(tables, results)
             ]
-        }, headers
+        }, headers, fields
 
 
 class ServerHandle:

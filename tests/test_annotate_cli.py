@@ -130,18 +130,18 @@ class TestBundleMode:
         tables = [
             stream.materialize() for stream in open_source(fixture_dir, 4096)
         ]
-        trained_sato.set_feature_backend("loop")
-        try:
-            for record, table in zip(records, tables, strict=True):
-                proba = trained_sato.column_model.predict_proba_table(table)
-                labels = trained_sato.labels_from_proba(proba)
-                marginals = trained_sato.marginals_from_proba(proba)
-                assert [c["predicted_type"] for c in record["columns"]] == labels
-                for column, label in zip(record["columns"], labels):
-                    expected = float(marginals[column["index"], TYPE_TO_INDEX[label]])
-                    assert column["confidence"] == round(expected, 6)
-        finally:
-            trained_sato.set_feature_backend("vectorized")
+        column_model = trained_sato.column_model
+        for record, table in zip(records, tables, strict=True):
+            proba = column_model.predict_proba_matrix(
+                column_model.featurizer.reference_transform_columns(table.columns),
+                column_model._batch_topic_rows([table]),
+            )
+            labels = trained_sato.labels_from_proba(proba)
+            marginals = trained_sato.marginals_from_proba(proba)
+            assert [c["predicted_type"] for c in record["columns"]] == labels
+            for column, label in zip(record["columns"], labels):
+                expected = float(marginals[column["index"], TYPE_TO_INDEX[label]])
+                assert column["confidence"] == round(expected, 6)
 
     def test_stdout_output(self, fixture_dir, sato_bundle, capsys):
         code, out, _ = run_annotate(
@@ -226,7 +226,31 @@ class TestRegistryMode:
         assert "cannot load from registry" in err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestFailureModes:
+    def test_huge_numbers_annotate_to_strict_json(self, sato_bundle, tmp_path, capsys):
+        """Finite numbers too big for the statistics are read as text."""
+        directory = tmp_path / "huge"
+        directory.mkdir()
+        (directory / "spread.csv").write_text("a\n1e200\n-1e200\n5\n")
+        (directory / "max.csv").write_text(
+            "a\n1.7976931348623157e308\n1.7976931348623157e308\n"
+        )
+        out = tmp_path / "schemas.jsonl"
+        code, _, _ = run_annotate(
+            ["annotate", str(directory), "--model", str(sato_bundle),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            json.loads(line, parse_constant=_refuse_constant)
+
     def test_corrupt_source_gives_partial_output_and_exit_1(
         self, multi_column_tables, sato_bundle, tmp_path, capsys
     ):

@@ -1,8 +1,8 @@
 """Batched model-core inference: parity with the per-table loop oracle.
 
-The ``batched`` model backend must be a pure performance knob: for any
-fitted model and any batch of tables it decodes exactly the labels the
-per-table loop does.  These tests sweep the CRF batch decode over table
+Batched inference must be a pure performance choice: for any fitted model
+and any batch of tables it decodes exactly the labels the per-table
+``predict_table`` loop does.  These tests sweep the CRF batch decode over table
 counts, column counts, tie-breaking unaries and hostile padding values, and
 check the end-to-end path across all four paper variants and the serving
 ``Predictor``.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.crf import LinearChainCRF
-from repro.models import MODEL_BACKENDS, pad_unaries
+from repro.models import pad_unaries
 from repro.serving import Predictor
 
 #: Property-style sweep axes for the CRF parity fixtures.
@@ -147,17 +147,14 @@ class TestPadUnaries:
 
 class TestEndToEndParity:
     def test_variant_batch_matches_loop(self, fitted_variant, corpus_small):
-        """All four paper variants decode identical labels on both backends."""
+        """All four paper variants decode identical labels batched and per table."""
         serve = corpus_small[:40]  # mixed singleton and multi-column tables
         loop = [fitted_variant.predict_table(t) for t in serve]
-        assert fitted_variant.set_model_backend("loop").predict_tables(serve) == loop
-        fitted_variant.set_model_backend("batched")
         assert fitted_variant.predict_tables(serve) == loop
 
     def test_variant_proba_batch_matches_loop(self, fitted_variant, corpus_small):
         serve = corpus_small[:12]
         loop = [fitted_variant.predict_proba_table(t) for t in serve]
-        fitted_variant.set_model_backend("batched")
         batched = fitted_variant.predict_proba_tables(serve)
         for want, got in zip(loop, batched):
             assert want.shape == got.shape
@@ -172,57 +169,38 @@ class TestEndToEndParity:
     def test_single_table_and_single_column_batches(self, trained_sato, corpus_small):
         singles = [t for t in corpus_small if t.n_columns == 1][:2]
         multi = [t for t in corpus_small if t.n_columns > 1][:2]
-        trained_sato.set_model_backend("batched")
         for batch in ([multi[0]], singles[:1], singles + multi):
             loop = [trained_sato.predict_table(t) for t in batch]
             assert trained_sato.predict_tables(batch) == loop
-
-    def test_invalid_backend_rejected(self, trained_sato):
-        with pytest.raises(ValueError):
-            trained_sato.set_model_backend("gpu")
-        assert trained_sato.model_backend in MODEL_BACKENDS
 
 
 class TestHardCaseSuiteParity:
     """Loop vs batched labels on the shipped adversarial suites.
 
     Unicode-heavy and dirty-column tables stress padding, masking and the
-    featurizer -> unary pipeline with hostile values; the batched backend
-    must still decode labels bit-identical to the per-table loop.
+    featurizer -> unary pipeline with hostile values; the batched path
+    (model and serving ``Predictor``) must still decode labels
+    bit-identical to the per-table loop.
     """
 
     def test_batched_matches_loop_on_hard_cases(self, trained_sato, hard_case_tables):
         loop = [trained_sato.predict_table(t) for t in hard_case_tables]
-        assert (
-            trained_sato.set_model_backend("loop").predict_tables(hard_case_tables)
-            == loop
-        )
-        trained_sato.set_model_backend("batched")
         assert trained_sato.predict_tables(hard_case_tables) == loop
 
     def test_predictor_backends_agree_on_hard_cases(
         self, trained_sato, hard_case_tables
     ):
-        loop = Predictor(trained_sato, model_backend="loop")
-        batched = Predictor(trained_sato, model_backend="batched")
-        assert loop.predict_tables(hard_case_tables) == batched.predict_tables(
-            hard_case_tables
-        )
+        """The Predictor's batch decode equals its own per-table decode."""
+        per_table = Predictor(trained_sato)
+        loop = [per_table.predict_table(t) for t in hard_case_tables]
+        assert Predictor(trained_sato).predict_tables(hard_case_tables) == loop
+        assert loop == [trained_sato.predict_table(t) for t in hard_case_tables]
 
 
 class TestPredictorBackends:
+    """The serving Predictor's batch decode equals the per-table loop."""
+
     def test_predictor_backends_agree(self, trained_sato, serving_split):
         _, test = serving_split
-        loop = Predictor(trained_sato, model_backend="loop")
-        batched = Predictor(trained_sato, model_backend="batched")
         expected = [trained_sato.predict_table(t) for t in test]
-        assert loop.predict_tables(test) == expected
-        assert batched.predict_tables(test) == expected
-        assert batched.predict_info()["model_backend"] == "batched"
-
-    def test_predictor_rejects_unknown_backend(self, trained_sato):
-        with pytest.raises(ValueError):
-            Predictor(trained_sato, model_backend="vectorized")
-
-    def test_default_backend_is_batched(self, trained_sato):
-        assert Predictor(trained_sato).model_backend == "batched"
+        assert Predictor(trained_sato).predict_tables(test) == expected

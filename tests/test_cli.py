@@ -34,8 +34,6 @@ class TestParser:
         assert args.max_wait_ms == 5.0
         assert args.max_queue == 256
         assert args.cache_size == 4096
-        assert args.feature_backend == "vectorized"
-        assert args.model_backend == "batched"
         assert args.log_format == "text"
 
     def test_serve_log_format_choices(self):
@@ -58,16 +56,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])  # --model is required
 
-    def test_model_backend_choices(self):
-        args = build_parser().parse_args(
-            ["predict", "--model", "bundle/", "--csv", "t.csv",
-             "--model-backend", "loop"]
-        )
-        assert args.model_backend == "loop"
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--feature-backend", "loop"), ("--model-backend", "loop")],
+    )
+    def test_retired_backend_flags_are_refused(self, flag, value):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["predict", "--model", "bundle/", "--csv", "t.csv",
-                 "--model-backend", "turbo"]
+                ["predict", "--model", "bundle/", "--csv", "t.csv", flag, value]
             )
 
     def test_serve_requires_model(self):

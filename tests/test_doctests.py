@@ -67,7 +67,7 @@ DOCUMENTED_MODULES = [
 PUBLIC_EXAMPLE_PACKAGES = {
     char_features_module: ["CharAccumulator"],
     repro.features.stats_features: ["StatAccumulator"],
-    repro.models.batched: ["pad_unaries", "split_by_table", "BatchedInferenceCore"],
+    repro.models.batched: ["pad_unaries", "split_by_table"],
     repro.obs.logs: ["RequestLogger"],
     repro.obs.profile: ["profile_predictor", "render_flame"],
     repro.obs.prom: ["render_prometheus"],

@@ -1,8 +1,8 @@
 """Tests for the vectorized featurization engine.
 
-The loop backend is the oracle: every batched code path must agree with it
-``allclose`` (rtol 1e-6), and bundles written by earlier versions of the
-featurizer must keep loading.
+The per-value loop (``reference_transform_columns``) is the oracle: every
+batched code path must agree with it ``allclose`` (rtol 1e-6), and bundles
+written by earlier versions of the featurizer must keep loading.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.features import (
-    ColumnFeaturizer,
     char_features,
     char_features_batch,
     column_statistics,
@@ -64,7 +63,7 @@ class TestBatchOracles:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_tables_property_parity(self, seed):
-        """Property-style: random corpora agree between the two backends."""
+        """Property-style: random corpora agree between engine and loop."""
         tables = CorpusGenerator(
             CorpusConfig(n_tables=25, seed=seed, max_rows=9)
         ).generate()
@@ -83,11 +82,10 @@ class TestBatchOracles:
 class TestFeaturizerBackends:
     @pytest.fixture(scope="class")
     def backends(self, multi_column_tables):
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables)
         columns = [c for t in multi_column_tables for c in t.columns]
-        loop = featurizer.transform_columns(columns)
-        featurizer.set_backend("vectorized")
+        loop = featurizer.reference_transform_columns(columns)
         vectorized = featurizer.transform_columns(columns)
         return featurizer, columns, loop, vectorized
 
@@ -101,12 +99,6 @@ class TestFeaturizerBackends:
         assert matrix.matrix.shape == (len(columns), featurizer.n_features)
         np.testing.assert_array_equal(matrix.matrix, vectorized)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnFeaturizer(backend="gpu")
-        with pytest.raises(ValueError):
-            tiny_featurizer().set_backend("gpu")
-
     def test_engine_reset_on_refit(self, multi_column_tables):
         featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables[:10])
@@ -119,22 +111,21 @@ class TestFeaturizerBackends:
     ):
         """Regression: a batch ending in token-less columns must not drop
         the last token of the preceding column from its Word/Para sums."""
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables)
         batch = [
             Column(values=["12", "345", "6789", "12345"]),
             Column(values=[" "]),       # whitespace only: zero tokens
             Column(values=["...", ""]),  # punctuation only: zero tokens
         ]
-        loop = featurizer.transform_columns(batch)
-        featurizer.set_backend("vectorized")
+        loop = featurizer.reference_transform_columns(batch)
         np.testing.assert_allclose(
             featurizer.transform_columns(batch), loop, rtol=RTOL, atol=ATOL
         )
 
 
 class TestHardCaseSuiteParity:
-    """Backend parity on the shipped adversarial suites.
+    """Engine-vs-loop parity on the shipped adversarial suites.
 
     The hard-case suites concentrate exactly the inputs where a vectorized
     engine can drift from the reference loop — non-BMP codepoints, NFD
@@ -143,11 +134,10 @@ class TestHardCaseSuiteParity:
     """
 
     def test_vectorized_matches_loop_on_hard_cases(self, hard_case_tables):
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(hard_case_tables)
         columns = [c for t in hard_case_tables for c in t.columns]
-        loop = featurizer.transform_columns(columns)
-        featurizer.set_backend("vectorized")
+        loop = featurizer.reference_transform_columns(columns)
         vectorized = featurizer.transform_columns(columns)
         np.testing.assert_allclose(vectorized, loop, rtol=RTOL, atol=ATOL)
 
@@ -165,16 +155,22 @@ class TestHardCaseSuiteParity:
 
 
 class TestVariantParity:
-    """The vectorized backend serves all four variants like the loop does."""
+    """The engine serves all four variants like the per-value loop does."""
 
     def test_all_variants_predict_identically(self, fitted_variant, serving_split):
         _, test = serving_split
         predictor = Predictor(fitted_variant)
-        featurizer = fitted_variant.column_model.featurizer
-        featurizer.set_backend("loop")
-        loop_proba = [fitted_variant.predict_proba_table(t) for t in test]
-        loop_labels = [fitted_variant.predict_table(t) for t in test]
-        featurizer.set_backend("vectorized")
+        column_model = fitted_variant.column_model
+        loop_proba, loop_labels = [], []
+        for table in test:
+            # The loop features forwarded like predict_proba_table forwards
+            # the engine's.
+            columnwise = column_model.predict_proba_matrix(
+                column_model.featurizer.reference_transform_columns(table.columns),
+                column_model._batch_topic_rows([table]),
+            )
+            loop_proba.append(fitted_variant.marginals_from_proba(columnwise))
+            loop_labels.append(fitted_variant.labels_from_proba(columnwise))
         for table, proba, labels in zip(test, loop_proba, loop_labels):
             np.testing.assert_allclose(
                 fitted_variant.predict_proba_table(table), proba, rtol=1e-6, atol=1e-9
@@ -184,40 +180,37 @@ class TestVariantParity:
 
 class TestBundleCompatibility:
     def test_pre_backend_bundle_still_loads(self, trained_base, tmp_path, corpus_small):
-        """Manifests with or without the retired ``workers`` key load alike.
+        """Manifests with or without the retired runtime keys load alike.
 
-        Every bundle written while the featurizer had a process pool
-        carries ``"workers": 0``; the first bundle format had neither it
-        nor a ``backend`` key.
+        The first bundle format had neither ``backend`` nor ``workers``;
+        later bundles carry ``"backend"`` (``"vectorized"`` or ``"loop"``),
+        and those written while the featurizer had a process pool also
+        carry ``"workers": 0``.  Every one predicts the same labels.
         """
         bundle = save_model(trained_base, tmp_path / "bundle")
         manifest_path = bundle / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        featurizer_config = manifest["model"]["column_model"]["featurizer"]
+        column_config = manifest["model"]["column_model"]
+        featurizer_config = column_config["featurizer"]
         assert "workers" not in featurizer_config
+        assert "backend" not in featurizer_config
         table = corpus_small[0]
         expected = trained_base.predict_table(table)
 
-        featurizer_config["workers"] = 0
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        assert Predictor.from_bundle(bundle).predict_table(table) == expected
-
-        featurizer_config.pop("workers")
-        featurizer_config.pop("backend")
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        predictor = Predictor.from_bundle(bundle)
-        assert predictor.featurizer.backend in ColumnFeaturizer.BACKENDS
-        assert predictor.predict_table(table) == expected
+        for retired in (
+            {},
+            {"backend": "loop"},
+            {"backend": "vectorized"},
+            {"backend": "vectorized", "workers": 0},
+            {"workers": 0},
+        ):
+            column_config["featurizer"] = {**featurizer_config, **retired}
+            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            predictor = Predictor.from_bundle(bundle)
+            assert predictor.predict_table(table) == expected, retired
 
 
 class TestRuntimeIsolation:
-    def test_predictors_do_not_share_runtime_settings(self, trained_base):
-        vectorized = Predictor(trained_base)
-        looped = Predictor(trained_base, feature_backend="loop")
-        assert vectorized.featurizer.backend == "vectorized"
-        assert looped.featurizer.backend == "loop"
-        assert trained_base.column_model.featurizer.backend == "vectorized"
-
     def test_failed_standardizer_pass_leaves_featurizer_unfitted(
         self, multi_column_tables, monkeypatch
     ):

@@ -8,10 +8,19 @@ from repro.features import (
     CHAR_FEATURE_NAMES,
     STAT_FEATURE_NAMES,
     ColumnFeaturizer,
+    StatAccumulator,
     char_features,
     column_statistics,
+    stats_features_batch,
 )
 from repro.tables import Column, Table
+
+#: Finite numbers past the parse bound: one overflowed the squared
+#: deviations, the other the sums.
+HUGE_NUMBER_COLUMNS = [
+    ["1e200", "-1e200", "5"],
+    ["1.7976931348623157e308", "1.7976931348623157e308"],
+]
 
 
 class TestCharFeatures:
@@ -89,6 +98,15 @@ class TestStatFeatures:
     @given(st.lists(st.text(max_size=15), max_size=12))
     def test_always_finite(self, values):
         assert np.all(np.isfinite(column_statistics(values)))
+
+    @pytest.mark.parametrize("values", HUGE_NUMBER_COLUMNS, ids=["1e200", "max"])
+    def test_huge_numbers_keep_every_path_finite(self, values):
+        loop = column_statistics(values)
+        streamed = StatAccumulator().partial_fit(values).finalize()
+        batched = stats_features_batch([values])[0]
+        for features in (loop, streamed, batched):
+            assert np.all(np.isfinite(features))
+        assert np.allclose(streamed, loop) and np.allclose(batched, loop)
 
 
 class TestColumnFeaturizer:

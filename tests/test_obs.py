@@ -271,13 +271,29 @@ def obs_server(trained_base):
     predictor.close()
 
 
+def _predict_body(path, table):
+    """A one-table body for either predict endpoint (``table``: any JSON)."""
+    if path == "/v1/predict_batch":
+        return {"tables": [table]}
+    return {"table": table}
+
+
 class TestServerObservability:
     def test_predict_returns_trace_header_and_a_complete_trace(
         self, obs_server, serving_split
     ):
+        self.check_complete_trace(obs_server, serving_split, "/v1/predict")
+
+    def test_predict_batch_returns_trace_header_and_a_complete_trace(
+        self, obs_server, serving_split
+    ):
+        self.check_complete_trace(obs_server, serving_split, "/v1/predict_batch")
+
+    @staticmethod
+    def check_complete_trace(obs_server, serving_split, path):
         _, test = serving_split
         status, _, headers = request(
-            obs_server.port, "POST", "/v1/predict", {"table": test[0].to_dict()}
+            obs_server.port, "POST", path, _predict_body(path, test[0].to_dict())
         )
         assert status == 200
         trace_id = headers["X-Trace-Id"]
@@ -333,25 +349,39 @@ class TestServerObservability:
     def test_json_request_log_carries_trace_and_outcome(
         self, obs_server, serving_split
     ):
+        ok = self.check_request_log(obs_server, serving_split, "/v1/predict")
+        assert ok["batch_size"] >= 1
+
+    def test_predict_batch_json_request_log_carries_trace_and_outcome(
+        self, obs_server, serving_split
+    ):
+        ok = self.check_request_log(obs_server, serving_split, "/v1/predict_batch")
+        assert ok["n_tables"] == 1
+
+    @staticmethod
+    def check_request_log(obs_server, serving_split, path):
+        """Log one good and one malformed request; returns the ``ok`` record."""
         _, test = serving_split
         buffer = io.StringIO()
         obs_server.server.logger.stream = buffer
         try:
             status, _, headers = request(
-                obs_server.port, "POST", "/v1/predict", {"table": test[0].to_dict()}
+                obs_server.port, "POST", path, _predict_body(path, test[0].to_dict())
             )
-            request(obs_server.port, "POST", "/v1/predict", {"table": 3})
+            request(obs_server.port, "POST", path, _predict_body(path, 3))
         finally:
             obs_server.server.logger.stream = io.StringIO()
         assert status == 200
         records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        assert all("outcome" in record for record in records), records
         ok = next(r for r in records if r.get("outcome") == "ok")
         assert ok["trace_id"] == headers["X-Trace-Id"]
         assert ok["status"] == 200 and ok["method"] == "POST"
-        assert ok["path"] == "/v1/predict"
-        assert ok["batch_size"] >= 1 and ok["duration_ms"] > 0.0
+        assert ok["path"] == path
+        assert ok["n_columns"] == test[0].n_columns and ok["duration_ms"] > 0.0
         bad = next(r for r in records if r.get("outcome") == "malformed")
         assert bad["status"] == 400
+        return ok
 
 
 # --------------------------------------------------------------- fleet e2e

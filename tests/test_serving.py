@@ -200,13 +200,26 @@ class TestPredictor:
         assert warm == cold
         assert warm == [trained_sato.predict_table(t) for t in test]
 
+    def test_huge_numbers_give_finite_probabilities(self, trained_sato):
+        spread = Column(values=["1e200", "-1e200", "5"])
+        largest = Column(values=["1.7976931348623157e308"] * 2)
+        tables = [
+            Table(columns=[spread]),
+            Table(columns=[largest]),
+            Table(columns=[spread, largest]),
+        ]
+        for table, proba in zip(
+            tables, Predictor(trained_sato).predict_proba_tables(tables)
+        ):
+            assert proba.shape[0] == table.n_columns
+            assert np.all(np.isfinite(proba))
+
     def test_predict_info_tracks_batches_and_columns(self, trained_base, serving_split):
         _, test = serving_split
         predictor = Predictor(trained_base)
         fresh = predictor.predict_info()
         assert fresh["batches"] == 0 and fresh["tables"] == 0
         assert fresh["columns"] == 0 and fresh["predict_seconds"] == 0.0
-        assert fresh["model_backend"] == "batched"
         assert fresh["swap_count"] == 0
         assert fresh["model_version"] == fresh["model_fingerprint"][:12]
         predictor.predict_tables(test)

@@ -32,31 +32,31 @@ def _suite_tables(name: str, limit: int = 6) -> list[Table]:
     return list(build_suite(name, "tiny").tables)[:limit]
 
 
-@pytest.fixture(scope="module")
-def loop_featurizer(fitted_featurizer):
-    return fitted_featurizer.runtime_clone(backend="loop")
+def loop_oracle(featurizer, table: Table) -> np.ndarray:
+    """A table's features by the per-value reference loop."""
+    return featurizer.reference_transform_columns(table.columns)
 
 
 class TestTransformStreamParity:
     @pytest.mark.parametrize("suite_name", sorted(available_suites()))
-    def test_bit_identical_across_chunk_sizes(self, suite_name, loop_featurizer):
+    def test_bit_identical_across_chunk_sizes(self, suite_name, fitted_featurizer):
         for table in _suite_tables(suite_name):
-            oracle = loop_featurizer.transform_table(table)
+            oracle = loop_oracle(fitted_featurizer, table)
             for chunk_rows in CHUNK_SIZES:
-                streamed = loop_featurizer.transform_stream(
+                streamed = fitted_featurizer.transform_stream(
                     table_stream(table, chunk_rows)
                 )
                 np.testing.assert_array_equal(
                     streamed, oracle, err_msg=f"{suite_name} chunk={chunk_rows}"
                 )
 
-    def test_hard_case_fixture_tables(self, hard_case_tables, loop_featurizer):
+    def test_hard_case_fixture_tables(self, hard_case_tables, fitted_featurizer):
         for table in hard_case_tables:
-            oracle = loop_featurizer.transform_table(table)
-            streamed = loop_featurizer.transform_stream(table.as_stream(3))
+            oracle = loop_oracle(fitted_featurizer, table)
+            streamed = fitted_featurizer.transform_stream(table.as_stream(3))
             np.testing.assert_array_equal(streamed, oracle)
 
-    def test_edge_case_tables(self, loop_featurizer):
+    def test_edge_case_tables(self, fitted_featurizer):
         """Empty, all-missing, whitespace-only and ragged columns."""
         tables = [
             Table(columns=(Column(values=(), header="empty"),)),
@@ -69,35 +69,35 @@ class TestTransformStreamParity:
             ),
         ]
         for table in tables:
-            oracle = loop_featurizer.transform_table(table)
+            oracle = loop_oracle(fitted_featurizer, table)
             for chunk_rows in (1, 2, None):
-                streamed = loop_featurizer.transform_stream(
+                streamed = fitted_featurizer.transform_stream(
                     table.as_stream(chunk_rows)
                 )
                 np.testing.assert_array_equal(streamed, oracle)
 
     def test_vectorized_backend_still_matches_streamed_oracle(
-        self, fitted_featurizer, loop_featurizer, hard_case_tables
+        self, fitted_featurizer, hard_case_tables
     ):
-        """The fast backend's contract (allclose to the oracle) survives."""
+        """The engine's contract (allclose to the oracle) survives."""
         for table in hard_case_tables[:4]:
-            streamed = loop_featurizer.transform_stream(table.as_stream(5))
+            streamed = fitted_featurizer.transform_stream(table.as_stream(5))
             fast = fitted_featurizer.transform_table(table)
             np.testing.assert_allclose(fast, streamed, rtol=1e-6, atol=1e-8)
 
 
 class TestMergeOrderInvariance:
     @pytest.mark.parametrize("seed", range(3))
-    def test_shuffled_merge_is_bit_identical(self, seed, loop_featurizer):
+    def test_shuffled_merge_is_bit_identical(self, seed, fitted_featurizer):
         rng = random.Random(seed)
         for table in _suite_tables("dirty_columns", limit=4):
-            oracle = loop_featurizer.transform_table(table)
+            oracle = loop_oracle(fitted_featurizer, table)
             chunks = list(table.iter_chunks(3))
             merged_columns = []
             for j in range(table.n_columns):
                 parts = []
                 for chunk in chunks:
-                    accumulator = loop_featurizer.column_accumulator()
+                    accumulator = fitted_featurizer.column_accumulator()
                     accumulator.partial_fit(
                         chunk.columns[j],
                         start_row=chunk.start_row,
@@ -109,7 +109,7 @@ class TestMergeOrderInvariance:
                 for other in parts[1:]:
                     merged.merge(other)
                 merged_columns.append(merged)
-            streamed = loop_featurizer.finalize_columns(merged_columns)
+            streamed = fitted_featurizer.finalize_columns(merged_columns)
             np.testing.assert_array_equal(streamed, oracle)
 
     def test_merge_preserves_token_prefix_order(self):
@@ -181,7 +181,7 @@ class TestAccumulatorUnits:
         with pytest.raises(ValueError):
             TokenAccumulator(max_tokens=3).merge(TokenAccumulator(max_tokens=4))
 
-    def test_column_accumulator_matches_whole_column(self, loop_featurizer):
+    def test_column_accumulator_matches_whole_column(self, fitted_featurizer):
         values = ["Oslo", "", "  ", "Bergen 42", "café", "$1,200.50"]
         whole = ColumnAccumulator(max_tokens=64)
         whole.partial_fit(values)
@@ -189,15 +189,15 @@ class TestAccumulatorUnits:
         for start in range(0, len(values), 2):
             piecewise.partial_fit(values[start : start + 2], start_row=start)
         np.testing.assert_array_equal(
-            loop_featurizer._raw_from_accumulator(piecewise),
-            loop_featurizer._raw_from_accumulator(whole),
+            fitted_featurizer._raw_from_accumulator(piecewise),
+            fitted_featurizer._raw_from_accumulator(whole),
         )
 
     def test_column_accumulator_smaller_cap_than_featurizer_raises(
-        self, loop_featurizer
+        self, fitted_featurizer
     ):
         with pytest.raises(ValueError):
-            loop_featurizer.column_accumulator(max_tokens=1)
+            fitted_featurizer.column_accumulator(max_tokens=1)
 
     def test_finalize_columns_requires_fitted(self):
         featurizer = tiny_featurizer()
