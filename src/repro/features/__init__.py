@@ -26,12 +26,7 @@ from repro.features.engine import (
     char_features_batch,
     stats_features_batch,
 )
-from repro.features.sketchstore import (
-    SketchStore,
-    SketchStoreWarning,
-    StreamSketcher,
-    values_fingerprint,
-)
+from repro.features.sketchstore import SketchStore, SketchStoreWarning, StreamSketcher
 
 __all__ = [
     "CHAR_FEATURE_NAMES",
@@ -51,5 +46,4 @@ __all__ = [
     "SketchStore",
     "SketchStoreWarning",
     "StreamSketcher",
-    "values_fingerprint",
 ]

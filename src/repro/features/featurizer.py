@@ -14,7 +14,6 @@ The per-group index slices are exposed so that
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -115,12 +114,6 @@ class ColumnFeaturizer:
         self._groups: tuple[FeatureGroup, ...] | None = None
         self._engine = None
         self._fitted = False
-        # Runtime (non-fitted) sketch settings: a persistent store consulted
-        # by transform_columns, and the bounded-sample dial.  See
-        # :meth:`set_sketch_store`.
-        self.sketch_store = None
-        self.sketch_sample_rows: int | None = None
-        self._sketch_section: str | None = None
 
     # ------------------------------------------------------------------ fit
 
@@ -165,9 +158,7 @@ class ColumnFeaturizer:
 
         return self.fit_stream(stream_tables(list(tables)))
 
-    def fit_stream(
-        self, streams, sketch_store=None, sample_rows: int | None = None
-    ) -> "ColumnFeaturizer":
+    def fit_stream(self, streams) -> "ColumnFeaturizer":
         """Fit from an iterable of :class:`~repro.tables.TableStream`.
 
         Each stream's chunks are folded into one
@@ -175,39 +166,13 @@ class ColumnFeaturizer:
         column, so memory is proportional to the number of columns (plus
         distinct values per column), never the row count.  The result is
         bit-identical to :meth:`fit` on the materialized tables.
-
-        With ``sketch_store`` (a
-        :class:`~repro.features.sketchstore.SketchStore`), accumulator
-        states are read through a substrate-free "content" section keyed
-        by column fingerprint: refitting over a mostly-unchanged corpus
-        skips accumulation for every unchanged column, bit-identically.
-        ``sample_rows`` bounds accumulation to each column's first N
-        values (the fingerprint still covers the full content).
         """
         self._engine = None
-        self._sketch_section = None
-        accumulators = []
-        if sketch_store is None and sample_rows is None:
-            for stream in streams:
-                stream_accs = [
-                    self.column_accumulator() for _ in range(stream.n_columns)
-                ]
-                for chunk in stream.chunks:
-                    if chunk.n_columns != len(stream_accs):
-                        raise ValueError(
-                            f"chunk has {chunk.n_columns} columns, stream "
-                            f"declared {len(stream_accs)}"
-                        )
-                    row_span = chunk.n_rows
-                    for accumulator, values in zip(stream_accs, chunk.columns):
-                        accumulator.partial_fit(
-                            values, start_row=chunk.start_row, row_span=row_span
-                        )
-                accumulators.extend(stream_accs)
-        else:
-            accumulators = self._fit_accumulators_sketched(
-                streams, sketch_store, sample_rows
-            )
+        accumulators = [
+            accumulator
+            for stream in streams
+            for accumulator in self._accumulate(stream)
+        ]
         documents = [
             accumulator.token_list()[: self.max_tokens_per_column]
             for accumulator in accumulators
@@ -232,50 +197,6 @@ class ColumnFeaturizer:
             self._std[self._std < 1e-8] = 1.0
         return self
 
-    def _fit_accumulators_sketched(self, streams, sketch_store, sample_rows):
-        """Accumulators for ``fit_stream``, read through the sketch store."""
-        from repro.features import sketchstore
-
-        sketch_store, owns_store = sketchstore.open_store(sketch_store)
-        section = None
-        if sketch_store is not None:
-            section = sketch_store.section(
-                sketchstore.content_section_config(
-                    self.max_tokens_per_column, sample_rows=sample_rows
-                )
-            )
-        accumulators = []
-        for stream in streams:
-            sketcher = sketchstore.StreamSketcher(
-                self, stream.n_columns, sample_rows=sample_rows
-            )
-            for chunk in stream.chunks:
-                if chunk.n_columns != sketcher.n_columns:
-                    raise ValueError(
-                        f"chunk has {chunk.n_columns} columns, stream "
-                        f"declared {sketcher.n_columns}"
-                    )
-                sketcher.feed(chunk)
-            for index, fingerprint in enumerate(sketcher.fingerprints()):
-                accumulator = None
-                if sketch_store is not None and not sketcher.flushed:
-                    accumulator = sketchstore.accumulator_from_sketch(
-                        sketch_store.get(section, fingerprint),
-                        self.max_tokens_per_column,
-                    )
-                if accumulator is None:
-                    accumulator = sketcher.accumulator(index)
-                    if sketch_store is not None:
-                        sketch_store.put(
-                            section,
-                            fingerprint,
-                            sketchstore.content_sketch(accumulator, sketcher.n_rows),
-                        )
-                accumulators.append(accumulator)
-        if owns_store:
-            sketch_store.close()
-        return accumulators
-
     # ------------------------------------------------------------ transform
 
     @property
@@ -286,43 +207,6 @@ class ColumnFeaturizer:
 
             self._engine = VectorizedEngine(self)
         return self._engine
-
-    def runtime_clone(self) -> "ColumnFeaturizer":
-        """A copy with independent runtime settings but shared fitted state.
-
-        The clone aliases the (immutable once fitted) embedding substrate
-        and standardiser arrays, but owns its sketch-store setting and its
-        engine (memos), so reconfiguring it never affects the original —
-        every :class:`~repro.serving.Predictor` serves through its own clone.
-        """
-        clone = copy.copy(self)
-        clone._engine = None
-        return clone
-
-    def set_sketch_store(
-        self, store, sample_rows: int | None = None
-    ) -> "ColumnFeaturizer":
-        """Attach a persistent sketch store to the transform path.
-
-        ``store`` is a :class:`~repro.features.sketchstore.SketchStore`
-        (or ``None`` to detach).  Once attached, :meth:`transform_columns`
-        serves any column whose content fingerprint hits the store's
-        section for this featurizer's configuration from the stored raw
-        row — bit-identical to recomputing it, because the stored row IS
-        a previously computed one and standardisation is elementwise —
-        and writes back the rows it had to compute.
-
-        ``sample_rows`` is the bounded-sample dial: store misses are
-        featurized from each column's first N values only (fingerprints
-        always cover the full content, so a differently-sampled
-        configuration is a different section, never a false hit).
-        """
-        if sample_rows is not None and sample_rows < 1:
-            raise ValueError("sample_rows must be >= 1")
-        self.sketch_store = store
-        self.sketch_sample_rows = sample_rows
-        self._sketch_section = None
-        return self
 
     # ------------------------------------------------------------ streaming
 
@@ -343,6 +227,26 @@ class ColumnFeaturizer:
                 "max_tokens must cover the featurizer's max_tokens_per_column"
             )
         return ColumnAccumulator(max_tokens)
+
+    def _accumulate(self, stream) -> list:
+        """One accumulator per column of ``stream``, folded over its chunks.
+
+        A chunk whose column count differs from the stream's raises
+        ``ValueError`` instead of silently truncating.
+        """
+        accumulators = [self.column_accumulator() for _ in range(stream.n_columns)]
+        for chunk in stream.chunks:
+            if chunk.n_columns != len(accumulators):
+                raise ValueError(
+                    f"chunk has {chunk.n_columns} columns, stream "
+                    f"declared {len(accumulators)}"
+                )
+            row_span = chunk.n_rows
+            for accumulator, values in zip(accumulators, chunk.columns):
+                accumulator.partial_fit(
+                    values, start_row=chunk.start_row, row_span=row_span
+                )
+        return accumulators
 
     def _raw_from_accumulator(self, accumulator) -> np.ndarray:
         """Raw features from accumulated state.
@@ -373,9 +277,9 @@ class ColumnFeaturizer:
     def standardize_matrix(self, raw: np.ndarray) -> np.ndarray:
         """Apply the fitted standardiser to a raw feature matrix.
 
-        Elementwise (per-row independent), so standardising rows served
-        from the sketch store is bit-identical to standardising them
-        inside the batch that originally computed them.
+        Elementwise (per-row independent), so standardising raw rows
+        ``annotate`` serves from the sketch store is bit-identical to
+        standardising them inside the batch that originally computed them.
         """
         if self.standardize and self._mean is not None and self._std is not None:
             return (raw - self._mean) / self._std
@@ -398,74 +302,7 @@ class ColumnFeaturizer:
 
     def transform_stream(self, stream) -> np.ndarray:
         """Featurize one :class:`~repro.tables.TableStream` in bounded memory."""
-        accumulators = [self.column_accumulator() for _ in range(stream.n_columns)]
-        for chunk in stream.chunks:
-            row_span = chunk.n_rows
-            for accumulator, values in zip(accumulators, chunk.columns):
-                accumulator.partial_fit(
-                    values, start_row=chunk.start_row, row_span=row_span
-                )
-        return self.finalize_columns(accumulators)
-
-    def _raw_matrix(self, columns: Sequence[Column]) -> np.ndarray:
-        """Raw features for a batch, read through the sketch store when set.
-
-        Hits are served from stored raw rows (bit-identical to the run
-        that stored them); misses are computed by the engine — from a
-        bounded sample when ``sketch_sample_rows`` is set — and written
-        back.
-        """
-        store = self.sketch_store
-        sample = self.sketch_sample_rows
-        if store is None and sample is None:
-            return self.engine.transform(columns)
-        from repro.features import sketchstore
-
-        keys: list[str] | None = None
-        section = None
-        if store is not None:
-            section = self._sketch_section
-            if section is None:
-                section = store.section(
-                    sketchstore.column_section_config(
-                        self, producer="vectorized", sample_rows=sample
-                    )
-                )
-                self._sketch_section = section
-            from repro.obs import span
-
-            with span("sketch.lookup", n_columns=len(columns)) as lookup:
-                keys = [
-                    sketchstore.values_fingerprint(column.values)
-                    for column in columns
-                ]
-                rows = [
-                    sketchstore.sketch_row(store.get(section, key), self.n_features)
-                    for key in keys
-                ]
-                misses = sum(1 for row in rows if row is None)
-                lookup.meta = {"hits": len(rows) - misses, "misses": misses}
-        else:
-            rows = [None] * len(columns)
-        missing = [index for index, row in enumerate(rows) if row is None]
-        if missing:
-            todo = [columns[index] for index in missing]
-            if sample is not None:
-                todo = [sketchstore.sampled_column(column, sample) for column in todo]
-            computed = self.engine.transform(todo)
-            for position, index in enumerate(missing):
-                row = computed[position]
-                rows[index] = row
-                if store is not None:
-                    store.put(
-                        section,
-                        keys[index],
-                        {
-                            "n": len(columns[index].values),
-                            "row": row.tolist(),
-                        },
-                    )
-        return np.stack(rows)
+        return self.finalize_columns(self._accumulate(stream))
 
     def transform_column(self, column: Column) -> np.ndarray:
         """Featurize one column."""
@@ -487,14 +324,14 @@ class ColumnFeaturizer:
             return np.zeros((0, self.n_features), dtype=np.float64)
         if not self._fitted:
             raise RuntimeError("featurizer must be fitted before transform")
-        return self.standardize_matrix(self._raw_matrix(columns))
+        return self.standardize_matrix(self.engine.transform(columns))
 
     def reference_transform_columns(self, columns: Sequence[Column]) -> np.ndarray:
         """:meth:`transform_columns` by the per-value Python loop.
 
         The reference the engine is tested against: same standardisation,
         same output shape, equal to :meth:`transform_columns` to
-        floating-point round-off.  It never reads the sketch store.
+        floating-point round-off.
         """
         if not columns:
             return np.zeros((0, self.n_features), dtype=np.float64)
@@ -568,7 +405,6 @@ class ColumnFeaturizer:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore state produced by :meth:`state_dict`."""
         self._engine = None
-        self._sketch_section = None
         self.word_model.load_state_dict(
             {k[len("word."):]: v for k, v in state.items() if k.startswith("word.")}
         )

@@ -11,23 +11,23 @@ the table fingerprint, removing LDA inference from repeat traffic.
 
 Design points:
 
-* **Keys are content fingerprints.**  :func:`values_fingerprint` hashes a
-  column's values with the exact length-prefixed blake2b scheme the
-  serving :class:`~repro.serving.Predictor` uses, so every layer of the
-  system agrees on what "the same column" means.  Headers never hash:
-  they are not model input.
+* **Keys are content fingerprints.**  Entries are keyed by
+  :attr:`~repro.tables.Column.fingerprint` (and, for topic vectors,
+  :attr:`~repro.tables.Table.fingerprint`), the one column identity every
+  cache in the system shares.  Headers never hash: they are not model
+  input.
 * **Sections are config hashes.**  A sketch is only reusable under the
   featurizer configuration that produced it, so entries live in sections
   keyed by a hash over the store format version, the producing code path,
   the char vocabulary, the token caps, the sampling dial and the fitted
-  substrate (:func:`state_hash` over the embedding arrays).  A config
-  mismatch is simply a different section — a miss, never a wrong hit.
+  state (:func:`state_hash`).  A config mismatch is simply a different
+  section — a miss, never a wrong hit.
 * **Append-friendly on-disk layout.**  Each section is one append-only
   log of CRC-framed JSON records under the store directory; a ``put`` is
   a single flushed append.  Re-puts append a newer record that shadows
   the older one at load time.
-* **LRU-bounded with explicit GC.**  The in-memory index keeps at most
-  ``capacity`` most-recently-used entries per section; :meth:`gc`
+* **LRU-bounded with explicit GC.**  The in-memory index of each section
+  is an :class:`LRUCache` of at most ``capacity`` entries; :meth:`gc`
   compacts each log down to the live entries (and optionally deletes
   stale sections from older configs).
 * **Corruption-tolerant.**  A corrupt or truncated record ends the
@@ -64,39 +64,28 @@ import warnings
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.features.accumulators import (
-    CharAccumulator,
-    ColumnAccumulator,
-    StatAccumulator,
-    TokenAccumulator,
-)
+from repro.features.accumulators import ColumnAccumulator
 from repro.features.char_features import CHAR_VOCABULARY
+from repro.tables import Column, ColumnFingerprinter, Table
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_DEFER_VALUES",
     "STORE_FORMAT",
     "SketchStoreWarning",
+    "LRUCache",
     "SketchStore",
     "StreamSketcher",
-    "ColumnFingerprinter",
-    "values_fingerprint",
-    "combine_fingerprints",
     "state_hash",
     "substrate_hash",
     "column_section_config",
-    "content_section_config",
     "topic_section_config",
     "column_sketch",
-    "content_sketch",
-    "accumulator_from_sketch",
-    "sketch_row",
+    "sketch_vector",
     "sketch_tokens",
-    "topic_vector_from_sketch",
     "open_store",
     "sampled_column",
     "sampled_table",
@@ -126,63 +115,7 @@ class SketchStoreWarning(UserWarning):
     """
 
 
-# ------------------------------------------------------------ fingerprints
-
-
-class ColumnFingerprinter:
-    """Incrementally hash a column's values, chunk by chunk.
-
-    Produces the exact same digest as :func:`values_fingerprint` over the
-    concatenated values (and therefore the same fingerprint the serving
-    predictor computes): each value is length-prefixed so value
-    boundaries are unambiguous across chunk boundaries.  Values are
-    UTF-8 encoded with ``surrogatepass``, so a lone surrogate (valid in
-    JSON) hashes instead of raising, and every other string hashes
-    exactly as under plain UTF-8.
-    """
-
-    __slots__ = ("_digest",)
-
-    def __init__(self) -> None:
-        self._digest = hashlib.blake2b(digest_size=16)
-
-    def update(self, values: Iterable[str]) -> "ColumnFingerprinter":
-        """Fold a batch of values into the running digest."""
-        digest = self._digest
-        for value in values:
-            encoded = value.encode("utf-8", "surrogatepass")
-            digest.update(len(encoded).to_bytes(4, "little"))
-            digest.update(encoded)
-        return self
-
-    def hexdigest(self) -> str:
-        """The fingerprint of everything folded in so far."""
-        return self._digest.hexdigest()
-
-
-def values_fingerprint(values: Iterable[str]) -> str:
-    """Content hash of a column's values (order-sensitive, header-blind).
-
-    This is the canonical column-identity hash of the whole system:
-    :func:`repro.serving.predictor.column_fingerprint` delegates here.
-
-    Examples:
-        >>> values_fingerprint(["ab", "c"]) == values_fingerprint(["a", "bc"])
-        False
-    """
-    return ColumnFingerprinter().update(values).hexdigest()
-
-
-def combine_fingerprints(fingerprints: Sequence[str]) -> str:
-    """Table fingerprint: one digest over the column fingerprint bytes.
-
-    Matches the serving predictor's table fingerprint, so topic vectors
-    cached by ``annotate`` are hits for ``predict`` and vice versa.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for fingerprint in fingerprints:
-        digest.update(bytes.fromhex(fingerprint))
-    return digest.hexdigest()
+# ------------------------------------------------------------ state hashes
 
 
 def state_hash(state: dict, prefixes: tuple[str, ...] | None = None) -> str:
@@ -207,9 +140,9 @@ def state_hash(state: dict, prefixes: tuple[str, ...] | None = None) -> str:
 def substrate_hash(featurizer) -> str:
     """Hash of the fitted embedding substrate (word + para arrays only).
 
-    The standardizer is deliberately excluded: sketches store raw
-    (unstandardized) feature rows and re-standardize on every hit, so a
-    refreshed mean/std never invalidates them.
+    The standardizer is deliberately excluded: ``annotate``'s sketches
+    store raw (unstandardized) feature rows and re-standardize on every
+    hit, so a refreshed mean/std never invalidates them.
     """
     return state_hash(featurizer.state_dict(), prefixes=("word.", "para."))
 
@@ -226,10 +159,12 @@ def column_section_config(
     """Section config for fitted-featurizer column sketches.
 
     ``producer`` names the code path that computed the rows (the
-    ``"accumulator"`` streaming path, or ``"vectorized"`` for the engine
-    behind ``transform_columns``), so paths with different bit-level
-    guarantees never share entries.  The name is part of the section id:
-    changing it would turn every stored row into a miss.
+    ``"accumulator"`` streaming path of ``annotate``, which stores raw
+    rows plus tokens, or ``"predictor"`` for the serving path, which
+    stores standardized rows and adds the whole featurizer state to the
+    config), so paths with different bit-level guarantees never share
+    entries.  The name is part of the section id: changing it would turn
+    every stored row into a miss.
     """
     if token_cap is None:
         token_cap = featurizer.max_tokens_per_column
@@ -244,22 +179,6 @@ def column_section_config(
         "token_cap": token_cap,
         "sample_rows": sample_rows,
         "substrate": substrate_hash(featurizer),
-    }
-
-
-def content_section_config(token_cap: int, sample_rows: int | None = None) -> dict:
-    """Section config for pre-fit content sketches (``fit_stream``).
-
-    No substrate hash: accumulator state is a function of the values and
-    the token cap alone, so it survives across refits.
-    """
-    return {
-        "kind": "column-content",
-        "format": STORE_FORMAT,
-        "producer": "content",
-        "char_vocabulary": CHAR_VOCABULARY,
-        "token_cap": token_cap,
-        "sample_rows": sample_rows,
     }
 
 
@@ -286,10 +205,10 @@ def column_sketch(
 
     Holds the exact accumulator states (char counts, stat counter, token
     prefix), the pooled word/para vectors and the assembled raw feature
-    row, so a hit can serve the row directly, rebuild the topic document
-    from the tokens, or reconstruct the accumulator for future merging.
-    ``row`` lets a caller that already finalized the accumulator pass the
-    raw row in instead of recomputing it.
+    row, so a hit can serve the row directly and rebuild the topic
+    document from the tokens.  ``row`` lets a caller that already
+    finalized the accumulator pass the raw row in instead of recomputing
+    it.
     """
     if row is None:
         row = featurizer.raw_from_accumulator(accumulator)
@@ -305,60 +224,22 @@ def column_sketch(
     }
 
 
-def content_sketch(accumulator, n_rows: int) -> dict:
-    """Substrate-free sketch (accumulator state only, for ``fit_stream``)."""
-    return {
-        "n": int(n_rows),
-        "tokens": accumulator.token_list(),
-        "char": accumulator.char.to_state(),
-        "stat": accumulator.stat.to_state(),
-    }
+def sketch_vector(sketch: dict | None, field: str, size: int) -> np.ndarray | None:
+    """The ``size``-long vector stored under ``field``, or ``None`` when unusable.
 
-
-def accumulator_from_sketch(
-    sketch: dict | None, token_cap: int
-) -> ColumnAccumulator | None:
-    """Rebuild a column accumulator from a stored sketch.
-
-    Returns ``None`` when the sketch is missing or malformed (the caller
-    recomputes).  The token prefix is reinstated as one segment covering
-    the sketched rows, so ``token_list`` and ``finalize`` reproduce the
-    original bits exactly.
+    ``field`` is ``"row"`` for feature rows and ``"topic"`` for table-topic
+    vectors; a missing, malformed or wrongly sized entry reads as a miss.
     """
     if not isinstance(sketch, dict):
         return None
-    tokens = sketch.get("tokens")
-    n_rows = sketch.get("n")
-    if not isinstance(tokens, list) or not isinstance(n_rows, int) or n_rows < 0:
-        return None
-    if len(tokens) > token_cap or not all(isinstance(t, str) for t in tokens):
+    vector = sketch.get(field)
+    if not isinstance(vector, list) or len(vector) != size:
         return None
     try:
-        char = CharAccumulator.from_state(sketch["char"])
-        stat = StatAccumulator.from_state(sketch["stat"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    accumulator = ColumnAccumulator(token_cap)
-    accumulator.char = char
-    accumulator.stat = stat
-    accumulator.tokens = TokenAccumulator.from_state(
-        {"max_tokens": token_cap, "segments": [[0, n_rows, tokens]]}
-    )
-    return accumulator
-
-
-def sketch_row(sketch: dict | None, n_features: int) -> np.ndarray | None:
-    """The raw feature row of a sketch, or ``None`` when unusable."""
-    if not isinstance(sketch, dict):
-        return None
-    row = sketch.get("row")
-    if not isinstance(row, list) or len(row) != n_features:
-        return None
-    try:
-        array = np.asarray(row, dtype=np.float64)
+        array = np.asarray(vector, dtype=np.float64)
     except (TypeError, ValueError):
         return None
-    return array if array.shape == (n_features,) else None
+    return array if array.shape == (size,) else None
 
 
 def sketch_tokens(sketch: dict | None) -> list[str] | None:
@@ -371,20 +252,6 @@ def sketch_tokens(sketch: dict | None) -> list[str] | None:
     return tokens
 
 
-def topic_vector_from_sketch(sketch: dict | None, n_topics: int) -> np.ndarray | None:
-    """The stored topic vector, or ``None`` when missing/malformed."""
-    if not isinstance(sketch, dict):
-        return None
-    topic = sketch.get("topic")
-    if not isinstance(topic, list) or len(topic) != n_topics:
-        return None
-    try:
-        array = np.asarray(topic, dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
-    return array if array.shape == (n_topics,) else None
-
-
 # ------------------------------------------------------------ sample dials
 
 
@@ -392,8 +259,6 @@ def sampled_column(column, sample_rows: int):
     """A copy of ``column`` trimmed to its first ``sample_rows`` values."""
     if len(column.values) <= sample_rows:
         return column
-    from repro.tables import Column
-
     return Column(
         values=list(column.values[:sample_rows]),
         header=column.header,
@@ -405,8 +270,6 @@ def sampled_table(table, sample_rows: int):
     """A copy of ``table`` with every column trimmed to ``sample_rows``."""
     if all(len(column.values) <= sample_rows for column in table.columns):
         return table
-    from repro.tables import Table
-
     return Table(
         columns=[sampled_column(column, sample_rows) for column in table.columns],
         table_id=table.table_id,
@@ -417,14 +280,78 @@ def sampled_table(table, sample_rows: int):
 # ---------------------------------------------------------------- the store
 
 
+class LRUCache:
+    """A bounded least-recently-used mapping with hit/miss accounting.
+
+    The one LRU of the system: the serving predictor's feature and topic
+    caches and every :class:`SketchStore` section index are instances.
+
+    Examples:
+        >>> import numpy as np
+        >>> cache = LRUCache(capacity=2)
+        >>> cache.put("a", np.zeros(2)); cache.put("b", np.ones(2))
+        >>> cache.get("a") is not None   # refreshes "a", counts a hit
+        True
+        >>> cache.put("c", np.full(2, 2.0))   # evicts "b" (least recent)
+        >>> "b" in cache
+        False
+        >>> (cache.hits, cache.misses)
+        (1, 0)
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError("capacity must be >= 0")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+    def get(self, key: str):
+        """Look up a key, refreshing its recency; counts a hit or a miss."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
+
+    def put(self, key: str, value) -> None:
+        """Insert a key, evicting the least recently used entry when full."""
+        if self.capacity == 0:
+            return
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = value
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def items(self):
+        """Every ``(key, value)`` pair, least recently used first."""
+        return self._entries.items()
+
+    def clear(self) -> None:
+        """Drop all entries and reset the hit/miss counters."""
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
 class _Section:
     """One config hash's entries: an LRU index over an append-only log."""
 
     __slots__ = ("path", "entries", "handle")
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, capacity: int) -> None:
         self.path = path
-        self.entries: OrderedDict[str, dict] = OrderedDict()
+        self.entries = LRUCache(capacity)
         self.handle = None
 
 
@@ -448,8 +375,6 @@ class SketchStore:
             raise ValueError("capacity must be >= 1")
         self.path = Path(path)
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
         self.corrupt_records = 0
         self._sections: dict[str, _Section] = {}
         self._lock = threading.RLock()
@@ -515,7 +440,7 @@ class SketchStore:
         ).hexdigest()
         with self._lock:
             if section_id not in self._sections:
-                section = _Section(self.path / f"{section_id}.log")
+                section = _Section(self.path / f"{section_id}.log", self.capacity)
                 if not self._stale_format:
                     self._load_section(section)
                 self._sections[section_id] = section
@@ -559,9 +484,7 @@ class SketchStore:
             if not isinstance(record, dict) or not isinstance(record.get("fp"), str):
                 reason = "malformed record"
                 break
-            fingerprint = record["fp"]
-            entries.pop(fingerprint, None)
-            entries[fingerprint] = record.get("sketch")
+            entries.put(record["fp"], record.get("sketch"))
             offset = end
         if reason is not None:
             self.corrupt_records += 1
@@ -575,8 +498,6 @@ class SketchStore:
             )
             with open(section.path, "r+b") as handle:
                 handle.truncate(offset)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
 
     # --------------------------------------------------------------- get/put
 
@@ -590,13 +511,7 @@ class SketchStore:
             section = self._sections.get(section_id)
             if section is None:
                 raise KeyError(f"unknown section {section_id!r}")
-            sketch = section.entries.get(fingerprint)
-            if sketch is None:
-                self.misses += 1
-                return None
-            section.entries.move_to_end(fingerprint)
-            self.hits += 1
-            return sketch
+            return section.entries.get(fingerprint)
 
     def put(self, section_id: str, fingerprint: str, sketch: dict) -> None:
         """Append one sketch to the section log and index it."""
@@ -619,11 +534,7 @@ class SketchStore:
                 section.handle = open(section.path, "ab")
             section.handle.write(frame)
             section.handle.flush()
-            entries = section.entries
-            entries.pop(fingerprint, None)
-            entries[fingerprint] = sketch
-            while len(entries) > self.capacity:
-                entries.popitem(last=False)
+            section.entries.put(fingerprint, sketch)
 
     # -------------------------------------------------------------------- gc
 
@@ -679,11 +590,15 @@ class SketchStore:
         }
 
     def stats(self) -> dict:
-        """Cumulative hit/miss/corruption counters and per-section sizes."""
+        """Cumulative hit/miss/corruption counters and per-section sizes.
+
+        Hits and misses are the sums of the section indexes' counters.
+        """
         with self._lock:
+            sections = self._sections.values()
             return {
-                "hits": self.hits,
-                "misses": self.misses,
+                "hits": sum(section.entries.hits for section in sections),
+                "misses": sum(section.entries.misses for section in sections),
                 "corrupt_records": self.corrupt_records,
                 "sections": {
                     section_id: len(section.entries)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ingest.base import DEFAULT_CHUNK_ROWS, IngestError, open_source
-from repro.tables import TableStream
+from repro.tables import TableStream, combine_fingerprints
 from repro.types import TYPE_TO_INDEX
 
 __all__ = ["StreamingAnnotator"]
@@ -184,7 +184,8 @@ class StreamingAnnotator:
             row = tokens = None
             if store is not None and not sketcher.flushed:
                 sketch = store.get(column_section, fingerprint)
-                row = sketchstore.sketch_row(sketch, self.featurizer.n_features)
+                n_features = self.featurizer.n_features
+                row = sketchstore.sketch_vector(sketch, "row", n_features)
                 tokens = sketchstore.sketch_tokens(sketch)
             if row is None or tokens is None:
                 accumulator = sketcher.accumulator(index)
@@ -210,9 +211,9 @@ class StreamingAnnotator:
             vector = None
             table_key = None
             if store is not None:
-                table_key = sketchstore.combine_fingerprints(fingerprints)
-                vector = sketchstore.topic_vector_from_sketch(
-                    store.get(topic_section, table_key), self.intent.n_topics
+                table_key = combine_fingerprints(fingerprints)
+                vector = sketchstore.sketch_vector(
+                    store.get(topic_section, table_key), "topic", self.intent.n_topics
                 )
             if vector is None:
                 document = self._document(column_tokens)

@@ -12,7 +12,7 @@ three pieces that make the split possible:
   (JSON manifest + one ``.npz`` of tensors) round-tripping a fitted model
   bit-exactly,
 * :class:`~repro.serving.predictor.Predictor` — the batched inference
-  facade with an LRU column-feature cache,
+  facade with a content-addressed feature and topic cache,
 * :class:`~repro.serving.scheduler.MicroBatcher` — the online micro-batching
   request scheduler (admission control, graceful drain, latency accounting),
 * :class:`~repro.serving.server.ServingServer` — the stdlib HTTP front end
@@ -50,7 +50,7 @@ from repro.serving.shm import (
     pack_bundle,
     remove_store,
 )
-from repro.serving.predictor import LRUCache, Predictor, column_fingerprint
+from repro.serving.predictor import Predictor
 from repro.serving.scheduler import (
     DrainingError,
     MicroBatcher,
@@ -85,9 +85,7 @@ __all__ = [
     "ServingFleet",
     "WorkerSpec",
     "table_routing_key",
-    "LRUCache",
     "Predictor",
-    "column_fingerprint",
     "DrainingError",
     "MicroBatcher",
     "QueueFullError",

@@ -55,9 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.features.sketchstore import combine_fingerprints
 from repro.obs import get_tracer
-from repro.serving.predictor import Predictor, column_fingerprint
+from repro.serving.predictor import Predictor
 from repro.serving.scheduler import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_QUEUE,
@@ -110,15 +109,14 @@ class FleetError(RuntimeError):
 def table_routing_key(table: Table) -> int:
     """Stable 64-bit routing key: the first 8 bytes of the table fingerprint.
 
-    The table fingerprint is the one the predictor's topic cache is keyed
-    on (:func:`~repro.features.sketchstore.combine_fingerprints` over the
-    column fingerprints), so two requests that would hit the same cache
-    entries hash to the same key — and therefore (via :class:`HashRing`)
-    to the same worker.  Headers and table ids are excluded, exactly like
-    the cache keys.
+    The table fingerprint (:attr:`~repro.tables.Table.fingerprint`) is the
+    one the predictor's topic cache is keyed on, so two requests that
+    would hit the same cache entries hash to the same key — and therefore
+    (via :class:`HashRing`) to the same worker.  Headers and table ids are
+    excluded, exactly like the cache keys.  Routing hashes each column
+    once: the fingerprints ride to the worker inside the pickled frame.
     """
-    fingerprints = [column_fingerprint(column) for column in table.columns]
-    return int(combine_fingerprints(fingerprints)[:16], 16)
+    return int(table.fingerprint[:16], 16)
 
 
 class HashRing:
@@ -752,18 +750,32 @@ class ServingFleet:
             self._spills += 1
         return chosen
 
-    def _dispatch_one(self, table: Table) -> asyncio.Future:
-        """Admit + route + send one table; returns its response future."""
+    def _admit(self, n_tables: int) -> None:
+        """Check admission for ``n_tables`` more tables (raises on refusal).
+
+        The whole request is checked against the fleet bound and the live
+        workers' free slots before any frame is sent, and callers send
+        without an intervening ``await``: a multi-table admission is
+        all-or-nothing, as in ``MicroBatcher._admit``.
+        """
         if self._draining:
             self.metrics.record_rejected_draining()
             raise DrainingError("fleet is draining")
         if not self._started:
             raise FleetError("fleet is not started")
-        if self.pending >= self.max_queue:
+        live = self._live_handles()
+        if not live:
+            raise FleetError("no live workers in the fleet")
+        free = sum(max(0, self.worker_queue - handle.inflight) for handle in live)
+        if self.pending + n_tables > self.max_queue or n_tables > free:
             self.metrics.record_rejected_queue_full()
             raise QueueFullError(
-                f"fleet cannot admit more work (bound {self.max_queue})"
+                f"fleet cannot admit {n_tables} more table(s) (bound "
+                f"{self.max_queue}, {free} free worker slot(s))"
             )
+
+    def _dispatch_one(self, table: Table) -> asyncio.Future:
+        """Route + send one admitted table; returns its response future."""
         # The request's span context rides in the frame (as a plain tuple)
         # so the worker can record its spans under the same trace.
         tracer = get_tracer()
@@ -814,6 +826,7 @@ class ServingFleet:
         shipped trace spans have already been folded into the front-end
         tracer by the time the future resolves).
         """
+        self._admit(1)
         return await self._dispatch_one(table)
 
     async def submit(self, table: Table) -> list[str]:
@@ -825,6 +838,7 @@ class ServingFleet:
         self, tables: Sequence[Table]
     ) -> list[tuple[list[str], str | None]]:
         """Serve several tables, admitted as one decision (all-or-nothing)."""
+        self._admit(len(tables))
         futures: list[asyncio.Future] = []
         try:
             for table in tables:

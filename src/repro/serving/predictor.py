@@ -1,4 +1,4 @@
-"""Batched inference facade with a column-level feature cache.
+"""Batched inference facade with a content-addressed feature and topic cache.
 
 The training path is expensive and rare; the serving path must be cheap and
 repeatable.  :class:`Predictor` wraps a fitted
@@ -11,26 +11,27 @@ repeatable.  :class:`Predictor` wraps a fitted
 3. a cheap per-table structured decode (Viterbi / marginals) on top of the
    shared column-wise scores.
 
-Featurized columns are memoised in an LRU cache keyed on a fingerprint of
-the column's content, so repeated traffic over the same columns (the common
-case for dashboard-style workloads) skips featurization entirely.  For
-topic-aware variants, inferred table-topic vectors are memoised the same
-way (keyed on the whole table's content), which removes the single most
-expensive per-table serving step — LDA inference — from repeat traffic;
-the misses of a batch are inferred together in one batched call.
+Featurized columns are memoised in an LRU cache keyed on the column's
+content fingerprint (:attr:`~repro.tables.Column.fingerprint`), so repeated
+traffic over the same columns (the common case for dashboard-style
+workloads) skips featurization entirely.  For topic-aware variants,
+inferred table-topic vectors are memoised the same way (keyed on
+:attr:`~repro.tables.Table.fingerprint`), which removes the single most
+expensive per-table serving step — LDA inference — from repeat traffic.
+Both go through one two-tier lookup: the memory LRU, then the optional
+persistent sketch store, then one batched compute over the distinct misses.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
-from collections import OrderedDict
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.features import sketchstore
+from repro.features.sketchstore import LRUCache
 from repro.models import SatoModel, TopicAwareModel
 from repro.obs import span
 from repro.models.batched import split_by_table
@@ -38,84 +39,7 @@ from repro.serving.bundle import load_model, model_fingerprint
 from repro.serving.shm import load_model_shared
 from repro.tables import Column, Table
 
-__all__ = ["column_fingerprint", "LRUCache", "Predictor"]
-
-
-def column_fingerprint(column: Column) -> str:
-    """Content hash of a column's values (order-sensitive, header-blind).
-
-    Values are length-prefixed before hashing so that value boundaries are
-    unambiguous (``["ab", "c"]`` and ``["a", "bc"]`` hash differently).
-    Headers are excluded: they are never model input.  Delegates to
-    :func:`repro.features.sketchstore.values_fingerprint` — the canonical
-    column-identity hash shared with the persistent sketch store.
-
-    Examples:
-        >>> from repro.tables import Column
-        >>> a = column_fingerprint(Column(values=["ab", "c"]))
-        >>> a == column_fingerprint(Column(values=["ab", "c"], header="other"))
-        True
-        >>> a == column_fingerprint(Column(values=["a", "bc"]))
-        False
-    """
-    return sketchstore.values_fingerprint(column.values)
-
-
-class LRUCache:
-    """A bounded least-recently-used mapping with hit/miss accounting.
-
-    Examples:
-        >>> import numpy as np
-        >>> cache = LRUCache(capacity=2)
-        >>> cache.put("a", np.zeros(2)); cache.put("b", np.ones(2))
-        >>> cache.get("a") is not None   # refreshes "a", counts a hit
-        True
-        >>> cache.put("c", np.full(2, 2.0))   # evicts "b" (least recent)
-        >>> "b" in cache
-        False
-        >>> (cache.hits, cache.misses)
-        (1, 0)
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> np.ndarray | None:
-        """Look up a key, refreshing its recency; counts a hit or a miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, value: np.ndarray) -> None:
-        """Insert a key, evicting the least recently used entry when full."""
-        if self.capacity == 0:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+__all__ = ["Predictor"]
 
 
 class Predictor:
@@ -144,9 +68,9 @@ class Predictor:
         column's first N values only (topic documents are sampled the
         same way).  Trades accuracy for speed on huge columns.
 
-    Columns are treated as immutable snapshots: both the feature cache and
-    the per-object fingerprint memo assume a :class:`Column`'s values never
-    change after it is first served.
+    Columns are treated as immutable snapshots: the caches key on
+    :attr:`Column.fingerprint <repro.tables.Column.fingerprint>`, which is
+    hashed once per column object and assumes its values never change.
 
     Examples:
         >>> from repro.corpus import CorpusConfig, CorpusGenerator
@@ -173,22 +97,19 @@ class Predictor:
     ) -> None:
         if model.column_model.network is None:
             raise RuntimeError("Predictor requires a fitted model")
+        if sketch_sample_rows is not None and sketch_sample_rows < 1:
+            raise ValueError("sketch_sample_rows must be >= 1")
         self.model = model
         self.column_model = model.column_model
         self.sketch_store, self._owns_sketch_store = sketchstore.open_store(
             sketch_store
         )
         self.sketch_sample_rows = sketch_sample_rows
-        self._topic_section: str | None = None
-        # A runtime clone shares all fitted state but owns its sketch-store
-        # setting and engine, so two predictors over the same model (or the
-        # model's own training featurizer) never fight over them.
-        self.featurizer = model.column_model.featurizer.runtime_clone()
-        if self.sketch_store is not None or sketch_sample_rows is not None:
-            self.featurizer.set_sketch_store(self.sketch_store, sketch_sample_rows)
+        # Store section (id, vector size) per sketch field of the serving
+        # model; resolved lazily and dropped on swap.
+        self._sections: dict[str, tuple[str, int]] = {}
         self.cache = LRUCache(cache_size)
         self.topic_cache = LRUCache(cache_size)
-        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
         # Hot-swap state: the lock serializes whole prediction batches
         # against model swaps, so a batch is always served start-to-finish
         # by one model (no mixed batches), and a swap simply waits for the
@@ -343,18 +264,12 @@ class Predictor:
             changed = fingerprint != self.fingerprint
             self.model = model
             self.column_model = model.column_model
-            self.featurizer = model.column_model.featurizer.runtime_clone()
-            if self.sketch_store is not None or self.sketch_sample_rows is not None:
-                # Re-resolve sections lazily: a new substrate hashes to a
-                # new section, so old sketches become misses, not wrong hits.
-                self.featurizer.set_sketch_store(
-                    self.sketch_store, self.sketch_sample_rows
-                )
-                self._topic_section = None
+            # Re-resolve sections lazily: a new model hashes to new
+            # sections, so old sketches become misses, not wrong hits.
+            self._sections.clear()
             if changed:
                 # Feature vectors and topic vectors are functions of model
-                # state; a different fingerprint invalidates both.  The
-                # column fingerprint memo keys on content only and stays.
+                # state; a different fingerprint invalidates both.
                 self.cache.clear()
                 self.topic_cache.clear()
             if model_name is not None:
@@ -373,113 +288,120 @@ class Predictor:
 
     # ------------------------------------------------------------- plumbing
 
-    def _fingerprint(self, column: Column) -> str:
-        """Fingerprint a column, memoised per live column object.
+    def _section(self, field: str) -> tuple[str, int]:
+        """The store section and vector size of one sketch field.
 
-        Repeated traffic usually re-sends the same :class:`Column` objects
-        (dashboards keep tables alive between refreshes); hashing their
-        values once instead of on every call keeps the cache-hit path free
-        of per-value work.  Entries are keyed on object identity and evicted
-        by a weakref callback when the column is garbage collected.
+        Feature rows (``"row"``) are stored standardized, so their section
+        hashes the whole featurizer state, standardizer included.  Topic
+        vectors (``"topic"``) use the section ``annotate`` writes too.
         """
-        key_id = id(column)
-        entry = self._fingerprints.get(key_id)
-        if entry is not None and entry[0]() is column:
-            return entry[1]
-        fingerprint = column_fingerprint(column)
-        memo = self._fingerprints
-        reference = weakref.ref(column, lambda _, k=key_id, m=memo: m.pop(k, None))
-        memo[key_id] = (reference, fingerprint)
-        return fingerprint
+        if field not in self._sections:
+            sample = self.sketch_sample_rows
+            if field == "row":
+                featurizer = self.column_model.featurizer
+                config = sketchstore.column_section_config(
+                    featurizer, "predictor", sample_rows=sample
+                )
+                config["state"] = sketchstore.state_hash(featurizer.state_dict())
+                size = featurizer.n_features
+            else:
+                intent = self.column_model.intent_estimator
+                config = sketchstore.topic_section_config(intent, sample_rows=sample)
+                size = intent.n_topics
+            self._sections[field] = (self.sketch_store.section(config), size)
+        return self._sections[field]
+
+    def _lookup(
+        self,
+        cache: LRUCache,
+        field: str,
+        sources: Sequence,
+        compute: Callable[[list], np.ndarray],
+        sampled: Callable,
+    ) -> list[np.ndarray]:
+        """One vector per source (column or table), keyed by its fingerprint.
+
+        The two-tier content cache: every occurrence is looked up in the
+        memory ``cache`` once, so hits and misses count per occurrence;
+        each distinct miss then reads the store section once, and the
+        rest are computed in one ``compute`` call over their sources (the
+        ``sampled`` copies when ``sketch_sample_rows`` is set).  Computed
+        vectors are written back to both tiers.
+        """
+        keys = [source.fingerprint for source in sources]
+        found = [cache.get(key) for key in keys]
+        todo = {}
+        for key, vector, source in zip(keys, found, sources):
+            if vector is None:
+                todo.setdefault(key, source)
+        fresh: dict[str, np.ndarray] = {}
+        store = self.sketch_store
+        if store is not None and todo:
+            section, size = self._section(field)
+            with span("sketch.lookup", field=field) as lookup:
+                for key in list(todo):
+                    sketch = store.get(section, key)
+                    vector = sketchstore.sketch_vector(sketch, field, size)
+                    if vector is not None:
+                        fresh[key] = vector
+                        cache.put(key, vector)
+                        del todo[key]
+                lookup.meta = {"hits": len(fresh), "misses": len(todo)}
+        if todo:
+            misses = list(todo.values())
+            if self.sketch_sample_rows is not None:
+                misses = [sampled(item, self.sketch_sample_rows) for item in misses]
+            for key, vector in zip(todo, compute(misses)):
+                # Copy: a row view would pin the whole batch matrix in the cache.
+                fresh[key] = vector = vector.copy()
+                cache.put(key, vector)
+                if store is not None:
+                    store.put(section, key, {field: vector.tolist()})
+        return [
+            fresh[key] if vector is None else vector
+            for key, vector in zip(keys, found)
+        ]
 
     def _batch_features(self, columns: Sequence[Column]) -> np.ndarray:
-        """Featurize a batch of columns, reusing cached feature vectors.
+        """Feature matrix of a batch of columns, through the content cache.
 
-        All cache misses are deduplicated by fingerprint and featurized in a
-        single vectorised :meth:`ColumnFeaturizer.transform_columns` call.
+        The distinct misses are featurized in a single vectorised
+        :meth:`ColumnFeaturizer.transform_columns` call.
         """
+        featurizer = self.column_model.featurizer
         if not columns:
-            return np.zeros((0, self.featurizer.n_features), dtype=np.float64)
-        keys = [self._fingerprint(column) for column in columns]
-        rows: list[np.ndarray | None] = [self.cache.get(key) for key in keys]
-        missing: OrderedDict[str, Column] = OrderedDict()
-        for key, row, column in zip(keys, rows, columns):
-            if row is None and key not in missing:
-                missing[key] = column
-        if missing:
-            computed = self.featurizer.transform_columns(list(missing.values()))
-            fresh = dict(zip(missing, computed))
-            for key, vector in fresh.items():
-                # Copy: a row view would pin the whole batch matrix in the
-                # cache, defeating eviction for large batches.
-                self.cache.put(key, vector.copy())
-            rows = [fresh[key] if row is None else row for key, row in zip(keys, rows)]
-        return np.stack(rows)
-
-    def _table_fingerprint(self, table: Table) -> str:
-        """Content hash of a whole table, composed from column fingerprints.
-
-        Reuses the per-column memo, so for repeated traffic this is a few
-        dict hits and one digest over 16-byte column hashes — no value is
-        re-read.  The composition is
-        :func:`~repro.features.sketchstore.combine_fingerprints`, shared with
-        ``annotate`` and fleet routing.
-        """
-        return sketchstore.combine_fingerprints(
-            [self._fingerprint(column) for column in table.columns]
+            return np.zeros((0, featurizer.n_features), dtype=np.float64)
+        rows = self._lookup(
+            self.cache,
+            "row",
+            columns,
+            featurizer.transform_columns,
+            sketchstore.sampled_column,
         )
+        return np.stack(rows)
 
     def _batch_topics(self, tables: Sequence[Table]) -> np.ndarray | None:
         """Per-column topic matrix for the batch (None for topic-free models).
 
-        Topic vectors are memoised in their own LRU cache keyed on table
-        content: LDA inference reseeds its Gibbs chain per call, so the
-        cached vector is bit-identical to a recomputation.  Every miss of
-        the batch is inferred in one batched call, each distinct table once.
+        Topic vectors go through the content cache keyed on table content:
+        LDA inference reseeds its Gibbs chain per call, so a cached vector
+        is bit-identical to a recomputation.  The distinct misses of the
+        batch are inferred in one batched call.
         """
         if not isinstance(self.column_model, TopicAwareModel):
             return None
-        store = self.sketch_store
-        sample = self.sketch_sample_rows
-        intent = self.column_model.intent_estimator
         tables = [table for table in tables if table.columns]
-        keys = [self._table_fingerprint(table) for table in tables]
-        vectors: dict[str, np.ndarray] = {}
-        missing: dict[str, Table] = {}
-        for key, table in zip(keys, tables):
-            vector = self.topic_cache.get(key)
-            if vector is None and key not in vectors and key not in missing:
-                if store is not None:
-                    if self._topic_section is None:
-                        self._topic_section = store.section(
-                            sketchstore.topic_section_config(intent, sample_rows=sample)
-                        )
-                    vector = sketchstore.topic_vector_from_sketch(
-                        store.get(self._topic_section, key), intent.n_topics
-                    )
-                if vector is None:
-                    source = table
-                    if sample is not None:
-                        source = sketchstore.sampled_table(table, sample)
-                    missing[key] = source
-                else:
-                    self.topic_cache.put(key, vector)
-            if vector is not None:
-                vectors[key] = vector
-        if missing:
-            inferred = intent.topic_vectors(list(missing.values()))
-            for key, vector in zip(missing, inferred):
-                # Copy: a row view would pin the whole batch matrix in the cache.
-                vectors[key] = vector.copy()
-                self.topic_cache.put(key, vectors[key])
-                if store is not None:
-                    store.put(self._topic_section, key, {"topic": vector.tolist()})
         if not tables:
             return np.zeros((0, self.column_model.n_topics))
+        vectors = self._lookup(
+            self.topic_cache,
+            "topic",
+            tables,
+            self.column_model.intent_estimator.topic_vectors,
+            sketchstore.sampled_table,
+        )
         return np.repeat(
-            np.stack([vectors[key] for key in keys]),
-            [table.n_columns for table in tables],
-            axis=0,
+            np.stack(vectors), [table.n_columns for table in tables], axis=0
         )
 
     def _columnwise_proba(self, tables: Sequence[Table]) -> list[np.ndarray]:
@@ -563,8 +485,9 @@ class Predictor:
 
         Returns a dictionary with the column-feature LRU cache's current
         ``size`` and ``capacity``, its cumulative ``hits`` and ``misses``
-        (one lookup per column served), and the number of live entries in
-        the per-object ``fingerprints`` memo.  First-contact traffic shows
+        (one lookup per column served), the same counters of the
+        table-topic cache, and the sketch store's counters when one is
+        attached.  First-contact traffic shows
         up as misses; repeated traffic over the same columns shows up as
         hits — the ratio is the cache hit rate a server's ``/metrics``
         endpoint reports.
@@ -597,7 +520,6 @@ class Predictor:
             "topic_size": len(self.topic_cache),
             "topic_hits": self.topic_cache.hits,
             "topic_misses": self.topic_cache.misses,
-            "fingerprints": len(self._fingerprints),
         }
         if self.sketch_store is not None:
             info["sketch_store"] = self.sketch_store.stats()

@@ -6,9 +6,15 @@ generator produces them, feature extractors consume them, and the models
 predict one semantic type per column.  For bounded-memory processing of
 large sources, :mod:`repro.tables.chunks` provides the chunk-iterable view
 (:class:`TableChunk` / :class:`TableStream`) consumed by the streaming
-featurization path and the ingest adapters.
+featurization path and the ingest adapters.  :mod:`repro.tables.fingerprint`
+holds the content fingerprint every cache keys on.
 """
 
+from repro.tables.fingerprint import (
+    ColumnFingerprinter,
+    combine_fingerprints,
+    values_fingerprint,
+)
 from repro.tables.table import Column, Table
 from repro.tables.chunks import (
     TableChunk,
@@ -27,6 +33,9 @@ from repro.tables.io import (
 __all__ = [
     "Column",
     "Table",
+    "ColumnFingerprinter",
+    "combine_fingerprints",
+    "values_fingerprint",
     "TableChunk",
     "TableStream",
     "iter_table_chunks",

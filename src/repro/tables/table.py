@@ -9,8 +9,10 @@ ground-truth labels, never as model input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from repro.tables.fingerprint import combine_fingerprints, values_fingerprint
 from repro.types import canonicalize_header, is_semantic_type
 
 __all__ = ["Column", "Table"]
@@ -57,6 +59,18 @@ class Column:
     def has_label(self) -> bool:
         """Whether a ground-truth semantic type is attached."""
         return self.semantic_type is not None
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of the values (:func:`values_fingerprint`).
+
+        The column identity every cache keys on.  It is hashed once per
+        column object and kept in the instance ``__dict__``, so a pickled
+        column (a fleet frame) carries it along.  Caching it is safe
+        because nothing changes ``values`` after construction: only
+        ``__post_init__`` assigns it.
+        """
+        return values_fingerprint(self.values)
 
     def head(self, n: int = 5) -> list[str]:
         """Return the first ``n`` values."""
@@ -113,6 +127,15 @@ class Table:
     def is_singleton(self) -> bool:
         """True when the table has a single column (no table context)."""
         return len(self.columns) == 1
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash of the table: its column fingerprints, combined.
+
+        Keys the topic cache and the topic store section, and routes fleet
+        traffic.  Headers and the table id never enter it.
+        """
+        return combine_fingerprints([column.fingerprint for column in self.columns])
 
     @property
     def labels(self) -> list[str | None]:

@@ -34,6 +34,7 @@ import repro.serving.predictor
 import repro.serving.scheduler
 import repro.serving.server
 import repro.tables.chunks
+import repro.tables.fingerprint
 
 # ``repro.features`` re-exports a ``char_features`` *function*, which
 # shadows the submodule as a package attribute — resolve the module itself.
@@ -62,10 +63,12 @@ DOCUMENTED_MODULES = [
     repro.serving.scheduler,
     repro.serving.server,
     repro.tables.chunks,
+    repro.tables.fingerprint,
 ]
 
 PUBLIC_EXAMPLE_PACKAGES = {
     char_features_module: ["CharAccumulator"],
+    repro.features.sketchstore: ["LRUCache"],
     repro.features.stats_features: ["StatAccumulator"],
     repro.models.batched: ["pad_unaries", "split_by_table"],
     repro.obs.logs: ["RequestLogger"],
@@ -82,9 +85,10 @@ PUBLIC_EXAMPLE_PACKAGES = {
         "BundleFormatError",
     ],
     repro.serving.component: ["StatefulComponent"],
-    repro.serving.predictor: ["column_fingerprint", "LRUCache", "Predictor"],
+    repro.serving.predictor: ["Predictor"],
     repro.serving.scheduler: ["MicroBatcher", "ServingMetrics"],
     repro.serving.server: ["serve_in_thread"],
+    repro.tables.fingerprint: ["values_fingerprint"],
     repro.features.engine: [
         "VectorizedEngine",
         "char_features_batch",

@@ -8,6 +8,7 @@ written by earlier versions of the featurizer must keep loading.
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.features import (
     stats_features_batch,
 )
 from repro.serving import MANIFEST_NAME, Predictor, save_model
-import repro.serving.predictor as predictor_module
+import repro.tables.table as table_module
 from repro.tables import Column, Table
 
 from helpers import tiny_featurizer
@@ -225,25 +226,48 @@ class TestRuntimeIsolation:
         assert not featurizer.is_fitted
 
 
+def count_hashes(monkeypatch) -> dict:
+    """Count ``values_fingerprint`` calls made for ``Column.fingerprint``."""
+    calls = {"n": 0}
+    original = table_module.values_fingerprint
+
+    def counting(values):
+        calls["n"] += 1
+        return original(values)
+
+    monkeypatch.setattr(table_module, "values_fingerprint", counting)
+    return calls
+
+
 class TestFingerprintMemo:
     def test_cache_hit_columns_skip_fingerprinting(
         self, trained_base, corpus_small, monkeypatch
     ):
         predictor = Predictor(trained_base)
-        table = corpus_small[0]
-        calls = {"n": 0}
-        original = predictor_module.column_fingerprint
-
-        def counting(column):
-            calls["n"] += 1
-            return original(column)
-
-        monkeypatch.setattr(predictor_module, "column_fingerprint", counting)
+        # Fresh columns: shared fixtures may arrive already hashed.
+        table = Table.from_dict(corpus_small[0].to_dict())
+        calls = count_hashes(monkeypatch)
         predictor.predict_table(table)
         first = calls["n"]
         assert first == table.n_columns
-        predictor.predict_table(table)  # same Column objects: memo hits
+        predictor.predict_table(table)  # same Column objects: hashed once
         assert calls["n"] == first
+
+    def test_routed_table_reaches_the_worker_hashed(
+        self, trained_sato, corpus_small, monkeypatch
+    ):
+        """Routing hashes each column once; a fleet frame carries the hashes."""
+        from repro.serving.fleet import table_routing_key
+
+        table = Table.from_dict(corpus_small[0].to_dict())
+        calls = count_hashes(monkeypatch)
+        table_routing_key(table)
+        assert calls["n"] == table.n_columns
+        frame = pickle.loads(pickle.dumps(("predict", 1, table, None)))
+        calls["n"] = 0
+        labels = Predictor(trained_sato).predict_table(frame[2])
+        assert calls["n"] == 0
+        assert labels == trained_sato.predict_table(table)
 
     def test_equal_but_distinct_columns_share_feature_cache(self, trained_base):
         predictor = Predictor(trained_base)
@@ -260,13 +284,3 @@ class TestFingerprintMemo:
         after = predictor.cache_info()
         assert after["misses"] == before["misses"]
         assert after["hits"] >= before["hits"] + 2
-
-    def test_memo_evicted_when_columns_are_collected(self, trained_base):
-        predictor = Predictor(trained_base)
-        predictor.predict_table(
-            Table(columns=[Column(values=["x", "y"]), Column(values=["1", "2"])])
-        )
-        import gc
-
-        gc.collect()
-        assert predictor.cache_info()["fingerprints"] == 0

@@ -23,6 +23,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -31,7 +32,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.features.sketchstore import combine_fingerprints, values_fingerprint
 from repro.registry import ModelRegistry
 from repro.serving import (
     Predictor,
@@ -45,7 +45,7 @@ from repro.serving import (
 from repro.serving.fleet import HashRing, table_routing_key
 from repro.serving.scheduler import DrainingError, QueueFullError
 from repro.serving.shm import pack_bundle
-from repro.tables import Column, Table
+from repro.tables import Column, Table, combine_fingerprints, values_fingerprint
 
 TIMEOUT = 60
 
@@ -245,6 +245,45 @@ class TestSpillPolicy:
         walk = list(fleet._ring.walk(table_routing_key(table)))
         fleet._handles[walk[0]].alive = False
         assert fleet._select_worker(table).wid == walk[1]
+
+    @pytest.mark.parametrize(
+        "max_queue, inflight, n_tables",
+        [
+            (4, [1, 1], 3),  # 2 of the fleet's 4 slots free
+            (100, [2, 1], 2),  # 1 free worker slot, fleet bound far away
+        ],
+        ids=["fleet-bound", "worker-slots"],
+    )
+    def test_batch_admission_is_all_or_nothing(self, max_queue, inflight, n_tables):
+        """A refused multi-table request sends no frame and holds no slot."""
+        fleet = ServingFleet(
+            len(inflight), bundle_path="unused", worker_queue=2, max_queue=max_queue
+        )
+        sent = []
+        fleet._handles = {
+            wid: SimpleNamespace(
+                wid=wid,
+                alive=True,
+                inflight=count,
+                pending={},
+                send_lock=threading.Lock(),
+                conn=SimpleNamespace(send=sent.append),
+            )
+            for wid, count in enumerate(inflight)
+        }
+        fleet._started = True
+        tables = [Table(columns=[Column(values=[f"t{i}"])]) for i in range(n_tables)]
+
+        async def submit():
+            fleet._loop = asyncio.get_running_loop()
+            await fleet.submit_many_versioned(tables)
+
+        with pytest.raises(QueueFullError):
+            asyncio.run(submit())
+        assert sent == []
+        assert fleet.pending == sum(inflight)
+        assert fleet.metrics.admitted == 0
+        assert fleet.metrics.rejected_queue_full == 1
 
 
 # ----------------------------------------------------------------- end to end

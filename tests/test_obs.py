@@ -213,17 +213,21 @@ class TestRequestLogger:
 
 
 class _SleepyPredictor:
-    """Deterministic stand-in: every stage sleeps a known amount."""
+    """Deterministic stand-in: every stage sleeps a known amount.
+
+    The stages sit at least 10 ms apart, so a scheduler oversleep on a
+    loaded host cannot flip their order.
+    """
 
     def predict_tables(self, tables):
         tracer = get_tracer()
         with tracer.span("featurize"):
-            time.sleep(0.004)
+            time.sleep(0.030)
         with tracer.span("forward"):
-            time.sleep(0.002)
+            time.sleep(0.015)
         with tracer.span("decode"):
             with tracer.span("decode.viterbi"):
-                time.sleep(0.001)
+                time.sleep(0.004)
         return [["name"] * table.n_columns for table in tables]
 
 

@@ -14,13 +14,12 @@ from repro.serving import (
     MANIFEST_NAME,
     TENSORS_NAME,
     BundleFormatError,
-    LRUCache,
     Predictor,
     StatefulComponent,
-    column_fingerprint,
     load_model,
     save_model,
 )
+from repro.features.sketchstore import LRUCache
 from repro.tables import Column, Table
 
 from helpers import make_tiny_model
@@ -281,17 +280,17 @@ class TestColumnFingerprint:
     def test_sensitive_to_values_and_order(self):
         a = Column(values=["x", "y"])
         b = Column(values=["y", "x"])
-        assert column_fingerprint(a) != column_fingerprint(b)
+        assert a.fingerprint != b.fingerprint
 
     def test_value_boundaries_are_unambiguous(self):
         a = Column(values=["ab", "c"])
         b = Column(values=["a", "bc"])
-        assert column_fingerprint(a) != column_fingerprint(b)
+        assert a.fingerprint != b.fingerprint
 
     def test_headers_are_ignored(self):
         a = Column(values=["x"], header="foo")
         b = Column(values=["x"], header="bar")
-        assert column_fingerprint(a) == column_fingerprint(b)
+        assert a.fingerprint == b.fingerprint
 
 
 class TestLRUCache:

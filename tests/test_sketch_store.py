@@ -2,7 +2,7 @@
 
 The contract under test: a :class:`~repro.features.SketchStore` attached
 to any featurization entry point (the streaming annotator, the serving
-predictor, ``fit_stream``) changes *cost*, never *bits* — store-on
+predictor) changes *cost*, never *bits* — store-on
 output is byte-identical to store-off output whether the run is cold
 (all misses) or warm (all hits), corruption and configuration drift
 degrade to recomputation with a warning (never a crash, never a wrong
@@ -17,18 +17,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.features import sketchstore
-from repro.features.sketchstore import (
-    SketchStore,
-    SketchStoreWarning,
-    StreamSketcher,
-    values_fingerprint,
-)
+from repro.features import CharAccumulator, StatAccumulator, sketchstore
+from repro.features.sketchstore import SketchStore, SketchStoreWarning, StreamSketcher
 from repro.ingest.annotate import StreamingAnnotator
 from repro.serving import Predictor, save_model
-from repro.tables import table_stream
-
-from helpers import tiny_featurizer
+from repro.tables import (
+    Column,
+    ColumnFingerprinter,
+    combine_fingerprints,
+    table_stream,
+    values_fingerprint,
+)
 
 
 @pytest.fixture()
@@ -49,7 +48,7 @@ def annotate_all(annotator, tables, chunk_rows=None):
 class TestFingerprints:
     def test_incremental_matches_one_shot(self):
         values = ["oslo", "", "rome", "päris", "x" * 100]
-        fingerprinter = sketchstore.ColumnFingerprinter()
+        fingerprinter = ColumnFingerprinter()
         for value in values:
             fingerprinter.update([value])
         assert fingerprinter.hexdigest() == values_fingerprint(values)
@@ -69,27 +68,23 @@ class TestFingerprints:
 
     def test_combine_is_order_sensitive(self):
         a, b = values_fingerprint(["a"]), values_fingerprint(["b"])
-        assert sketchstore.combine_fingerprints(
-            [a, b]
-        ) != sketchstore.combine_fingerprints([b, a])
+        assert combine_fingerprints([a, b]) != combine_fingerprints([b, a])
 
     def test_column_fingerprint_is_the_serving_hash(self):
-        from repro.serving.predictor import column_fingerprint
-        from repro.tables import Column
-
         column = Column(values=["oslo", "", "rome"])
-        assert column_fingerprint(column) == values_fingerprint(column.values)
+        assert column.fingerprint == values_fingerprint(column.values)
 
     def test_table_fingerprint_matches_serving_predictor(
-        self, trained_base, multi_column_tables
+        self, trained_sato, multi_column_tables
     ):
         table = multi_column_tables[0]
         fingerprints = [values_fingerprint(column.values) for column in table.columns]
-        predictor = Predictor(trained_base)
-        assert (
-            sketchstore.combine_fingerprints(fingerprints)
-            == predictor._table_fingerprint(table)
-        )
+        assert table.fingerprint == combine_fingerprints(fingerprints)
+        # The serving caches key on the same fingerprints.
+        predictor = Predictor(trained_sato)
+        predictor.predict_table(table)
+        assert table.fingerprint in predictor.topic_cache
+        assert all(fingerprint in predictor.cache for fingerprint in fingerprints)
 
 
 # -------------------------------------------------------------- store basics
@@ -358,28 +353,23 @@ class TestSketchCoding:
         )
         # JSON round trip, exactly as the store would persist it.
         sketch = json.loads(json.dumps(sketch))
-        rebuilt = sketchstore.accumulator_from_sketch(
-            sketch, fitted_featurizer.max_tokens_per_column
-        )
-        assert rebuilt.token_list() == accumulator.token_list()
+        assert sketchstore.sketch_tokens(sketch) == accumulator.token_list()
+        char = CharAccumulator.from_state(sketch["char"])
+        stat = StatAccumulator.from_state(sketch["stat"])
+        np.testing.assert_array_equal(char.finalize(), accumulator.char.finalize())
+        np.testing.assert_array_equal(stat.finalize(), accumulator.stat.finalize())
         np.testing.assert_array_equal(
-            fitted_featurizer.raw_from_accumulator(rebuilt),
-            fitted_featurizer.raw_from_accumulator(accumulator),
-        )
-        np.testing.assert_array_equal(
-            sketchstore.sketch_row(sketch, fitted_featurizer.n_features),
+            sketchstore.sketch_vector(sketch, "row", fitted_featurizer.n_features),
             fitted_featurizer.raw_from_accumulator(accumulator),
         )
 
     def test_malformed_sketches_degrade_to_none(self, fitted_featurizer):
         n = fitted_featurizer.n_features
-        assert sketchstore.accumulator_from_sketch(None, 10) is None
-        assert sketchstore.accumulator_from_sketch({"n": -1}, 10) is None
-        assert sketchstore.sketch_row(None, n) is None
-        assert sketchstore.sketch_row({"row": [1.0]}, n) is None
-        assert sketchstore.sketch_row({"row": "zzz"}, n) is None
+        assert sketchstore.sketch_vector(None, "row", n) is None
+        assert sketchstore.sketch_vector({"row": [1.0]}, "row", n) is None
+        assert sketchstore.sketch_vector({"row": "zzz"}, "row", n) is None
         assert sketchstore.sketch_tokens({"tokens": [1, 2]}) is None
-        assert sketchstore.topic_vector_from_sketch({"topic": [0.5]}, 3) is None
+        assert sketchstore.sketch_vector({"topic": [0.5]}, "topic", 3) is None
 
 
 # -------------------------------------------------------- annotation parity
@@ -502,46 +492,8 @@ class TestAnnotateParity:
     def test_bad_sample_rows_rejected(self, trained_sato):
         with pytest.raises(ValueError, match="sample_rows"):
             StreamingAnnotator(trained_sato, sample_rows=0)
-
-
-# --------------------------------------------------------- fit_stream parity
-
-
-class TestFitStreamSketched:
-    def fit_state(self, tables, **kwargs):
-        featurizer = tiny_featurizer()
-        featurizer.fit_stream([table_stream(table, 4) for table in tables], **kwargs)
-        return featurizer.state_dict()
-
-    def test_store_on_fit_is_bit_identical_cold_and_warm(
-        self, multi_column_tables, tmp_path
-    ):
-        tables = multi_column_tables[:12]
-        root = tmp_path / "store"
-        oracle = self.fit_state(tables)
-        cold = self.fit_state(tables, sketch_store=root)
-        with SketchStore(root) as store:
-            warm = self.fit_state(tables, sketch_store=store)
-            assert store.stats()["hits"] > 0
-            assert store.stats()["misses"] == 0
-        for key in oracle:
-            np.testing.assert_array_equal(cold[key], oracle[key])
-            np.testing.assert_array_equal(warm[key], oracle[key])
-
-    def test_content_sketches_survive_across_refits(
-        self, multi_column_tables, tmp_path
-    ):
-        """No substrate in the content section: any refit can reuse it."""
-        tables = multi_column_tables[:8]
-        root = tmp_path / "store"
-        self.fit_state(tables, sketch_store=root)
-        with SketchStore(root) as store:
-            featurizer = tiny_featurizer()
-            featurizer.fit_stream(
-                [table_stream(table, 4) for table in tables],
-                sketch_store=store,
-            )
-            assert store.stats()["misses"] == 0
+        with pytest.raises(ValueError, match="sample_rows"):
+            Predictor(trained_sato, sketch_sample_rows=0)
 
 
 # ---------------------------------------------------------- predictor parity
@@ -604,6 +556,25 @@ class TestPredictorParity:
         assert predictor.predict_tables(tables) == expected
         assert predictor.cache_info()["sketch_store"]["hits"] > 0
         predictor.close()
+
+    def test_uncached_predictor_serves_the_model_and_the_store(
+        self, trained_sato, serving_split, tmp_path
+    ):
+        """``cache_size=0``: no memory tier, same labels, store still fed."""
+        _, tables = serving_split
+        expected = [trained_sato.predict_table(table) for table in tables]
+        uncached = Predictor(trained_sato, cache_size=0)
+        assert uncached.predict_tables(tables) == expected
+        assert len(uncached.cache) == 0 and len(uncached.topic_cache) == 0
+
+        root = tmp_path / "store"
+        cold = Predictor(trained_sato, cache_size=0, sketch_store=root)
+        assert cold.predict_tables(tables) == expected
+        cold.close()
+        warm = Predictor(trained_sato, cache_size=0, sketch_store=root)
+        assert warm.predict_tables(tables) == expected
+        assert warm.cache_info()["sketch_store"]["misses"] == 0
+        warm.close()
 
 
 # ------------------------------------------------------------------ the CLI

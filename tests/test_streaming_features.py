@@ -19,7 +19,14 @@ import pytest
 
 from repro.corpus.suites import available_suites, build_suite
 from repro.features import ColumnAccumulator, TokenAccumulator
-from repro.tables import Column, Table, stream_tables, table_stream
+from repro.tables import (
+    Column,
+    Table,
+    TableChunk,
+    TableStream,
+    stream_tables,
+    table_stream,
+)
 
 from helpers import tiny_featurizer
 
@@ -84,6 +91,26 @@ class TestTransformStreamParity:
             streamed = fitted_featurizer.transform_stream(table.as_stream(5))
             fast = fitted_featurizer.transform_table(table)
             np.testing.assert_allclose(fast, streamed, rtol=1e-6, atol=1e-8)
+
+
+    @pytest.mark.parametrize("method", ["transform_stream", "fit_stream"])
+    def test_chunk_with_wrong_column_count_is_rejected(self, method):
+        """A short chunk raises instead of silently dropping a column's rows."""
+        stream = TableStream(
+            headers=("a", "b"),
+            chunks=iter(
+                [
+                    TableChunk(columns=(("x", "y"), ("1", "2"))),
+                    TableChunk(columns=(("z",),), start_row=2),
+                ]
+            ),
+        )
+        featurizer = tiny_featurizer()
+        if method == "transform_stream":
+            featurizer.fit(_suite_tables("clean_baseline", limit=4))
+        argument = stream if method == "transform_stream" else [stream]
+        with pytest.raises(ValueError, match="chunk has 1 columns"):
+            getattr(featurizer, method)(argument)
 
 
 class TestMergeOrderInvariance:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import Predictor, column_fingerprint
+from repro.serving import Predictor
 from repro.tables import Column, Table
 from repro.topic import (
     Dictionary,
@@ -283,7 +283,7 @@ class TestPredictorTopics:
         info = predictor.cache_info()
         assert info["topic_hits"] + info["topic_misses"] == 3
         # One store read per distinct column and per distinct table.
-        columns = {column_fingerprint(c) for t in (a, b) for c in t.columns}
+        columns = {c.fingerprint for t in (a, b) for c in t.columns}
         assert info["sketch_store"]["misses"] == len(columns) + 2
         predictor.close()
 
