@@ -183,13 +183,18 @@ def column_section_config(
 
 
 def topic_section_config(intent, sample_rows: int | None = None) -> dict:
-    """Section config for table-topic vectors keyed by table fingerprint."""
+    """Section config for table-topic vectors keyed by table fingerprint.
+
+    A vector depends on how it was inferred as well as on the fitted LDA
+    state: ``producer`` names the inference algorithm and ``intent`` holds
+    its settings (``infer_iterations`` among them), so vectors inferred
+    any other way never share entries.
+    """
     return {
         "kind": "table-topic",
         "format": STORE_FORMAT,
-        "producer": "topic",
-        "n_topics": intent.n_topics,
-        "max_tokens_per_table": intent.max_tokens_per_table,
+        "producer": "topic-fold-in",
+        "intent": intent.config_dict(),
         "sample_rows": sample_rows,
         "state": state_hash(intent.state_dict()),
     }

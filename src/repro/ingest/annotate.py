@@ -18,7 +18,7 @@ hit the store skip featurization entirely — their stored raw row and
 token prefix are bit-identical to what a recomputation would produce, so
 the parity contract is unchanged.  Table-topic vectors are cached the
 same way, keyed by the table fingerprint, which removes LDA inference
-(the most expensive per-table step) from repeat traffic.
+from repeat traffic.
 """
 
 from __future__ import annotations

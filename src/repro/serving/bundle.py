@@ -12,9 +12,10 @@ A *bundle* is a directory holding everything needed to serve a fitted
     by the model's flattened ``state_dict``.
 
 ``save_model`` / ``load_model`` round-trip a model bit-exactly: tensors are
-stored as float64 ``.npy`` entries inside the archive, and all inference
-randomness (LDA Gibbs chains) is seeded from the persisted configuration,
-so a reloaded model reproduces the in-memory model's predictions exactly.
+stored as float64 ``.npy`` entries inside the archive, and inference draws
+no random numbers (LDA topics are folded in by a deterministic fixed
+point), so a reloaded model reproduces the in-memory model's predictions
+exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ __all__ = [
     "model_fingerprint",
 ]
 
-#: Version of the on-disk bundle layout.  Bump on incompatible changes.
-FORMAT_VERSION = 1
+#: Version of the on-disk bundle layout.  Bump on incompatible changes,
+#: and whenever an old bundle would load but silently predict differently.
+#: Version 2: LDA topics are inferred by EM fold-in instead of a Gibbs chain,
+#: so version-1 networks, trained on Gibbs topic vectors, must be retrained.
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.npz"
@@ -159,6 +163,12 @@ def _read_manifest(path: Path) -> dict:
             f"corrupt {MANIFEST_NAME} in {path}: {error}"
         ) from error
     version = manifest.get("format_version")
+    if version == 1:
+        raise BundleFormatError(
+            "bundle format version 1 predates fold-in LDA inference (its "
+            "network learned from Gibbs-sampled topic vectors); retrain it "
+            "with `repro-sato train`"
+        )
     if version != FORMAT_VERSION:
         raise BundleFormatError(
             f"bundle format version {version!r} is not supported "

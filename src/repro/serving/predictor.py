@@ -52,10 +52,10 @@ class Predictor:
     cache_size:
         Capacity of the column-feature LRU cache and (for topic-aware
         variants) of the table-topic LRU cache.  LDA inference is a pure
-        function of a table's values (the Gibbs chain is reseeded per
-        call), so cached topic vectors are bit-identical to recomputed
-        ones — and topic inference is the most expensive per-table step of
-        the serving path, so repeated traffic gains the most here.
+        function of a table's values (fold-in draws no random numbers), so
+        cached topic vectors are bit-identical to recomputed ones — and
+        after featurization, topic inference is the largest per-table step
+        of the serving path.
     sketch_store:
         Optional persistent sketch store — a
         :class:`~repro.features.sketchstore.SketchStore` or a store
@@ -114,9 +114,9 @@ class Predictor:
         # against model swaps, so a batch is always served start-to-finish
         # by one model (no mixed batches), and a swap simply waits for the
         # in-flight batch to finish.  The model fingerprint (a hash over
-        # every fitted tensor) is computed lazily: registry-tagged
-        # predictors never need it unless a swap compares models, and
-        # one-shot CLI predictors never need it at all.
+        # every fitted tensor) is computed lazily: an untagged predictor
+        # needs it to stamp its first batch with a version, registry-tagged
+        # predictors only when a swap compares models.
         self._swap_lock = threading.RLock()
         self._model_name = model_name
         self._explicit_version = model_version
@@ -384,9 +384,9 @@ class Predictor:
         """Per-column topic matrix for the batch (None for topic-free models).
 
         Topic vectors go through the content cache keyed on table content:
-        LDA inference reseeds its Gibbs chain per call, so a cached vector
-        is bit-identical to a recomputation.  The distinct misses of the
-        batch are inferred in one batched call.
+        LDA fold-in is deterministic, so a cached vector is bit-identical to
+        a recomputation.  The distinct misses of the batch are inferred in
+        one batched call.
         """
         if not isinstance(self.column_model, TopicAwareModel):
             return None

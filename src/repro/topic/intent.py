@@ -111,8 +111,10 @@ class TableIntentEstimator:
     def topic_vectors(self, tables: Sequence[Table]) -> np.ndarray:
         """Infer topic vectors for a sequence of tables in one batched call.
 
-        Row ``i`` is bit-identical to ``topic_vector(tables[i])``
-        (see :meth:`LatentDirichletAllocation.transform_many`).
+        The tables are folded into the LDA model together, by one
+        deterministic EM pass over all their tokens, and row ``i`` is
+        bit-identical to ``topic_vector(tables[i])`` (see
+        :meth:`LatentDirichletAllocation.transform_many`).
         """
         if not self._fitted:
             raise RuntimeError("intent estimator is not fitted")

@@ -224,6 +224,32 @@ class TestCommands:
         assert 0.0 < report["coverage"] <= 1.0
         assert set(report["stage_shares"]) >= {"featurize", "forward", "decode"}
 
+    def test_profile_hashes_the_model_before_the_replay(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.obs
+        import repro.serving.predictor as predictor_module
+
+        corpus = tmp_path / "corpus.jsonl"
+        main(["generate", "--n-tables", "40", "--seed", "6", "--out", str(corpus)])
+        bundle = tmp_path / "bundle"
+        main(["train", "--corpus", str(corpus), "--out", str(bundle),
+              "--variant", "Base", "--epochs", "2"])
+        replaying, hashed = [], []
+        fingerprint = predictor_module.model_fingerprint
+        monkeypatch.setattr(
+            predictor_module, "model_fingerprint",
+            lambda model: hashed.append(bool(replaying)) or fingerprint(model),
+        )
+        replay = repro.obs.profile_predictor
+        monkeypatch.setattr(
+            repro.obs, "profile_predictor",
+            lambda *args, **kwargs: replaying.append(True) or replay(*args, **kwargs),
+        )
+        assert main(["profile", "--model", str(bundle),
+                     "--suite", "clean_baseline", "--suite-preset", "tiny"]) == 0
+        assert replaying and hashed == [False]
+
     def test_profile_rejects_bad_usage(self, tmp_path, capsys):
         assert main(["profile", "--model", str(tmp_path / "nope"),
                      "--suite", "not_a_suite"]) == 2

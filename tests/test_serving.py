@@ -89,6 +89,14 @@ class TestBundleValidation:
         with pytest.raises(BundleFormatError, match="format version"):
             load_model(bundle)
 
+    def test_rejects_version_1_with_a_retrain_message(self, trained_base, tmp_path):
+        bundle = save_model(trained_base, tmp_path / "bundle")
+        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 1
+        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(BundleFormatError, match="retrain it with `repro-sato"):
+            load_model(bundle)
+
     def test_rejects_mismatched_type_vocabulary(self, trained_base, tmp_path):
         bundle = save_model(trained_base, tmp_path / "bundle")
         manifest = json.loads((bundle / MANIFEST_NAME).read_text())

@@ -557,6 +557,29 @@ class TestPredictorParity:
         assert predictor.cache_info()["sketch_store"]["hits"] > 0
         predictor.close()
 
+    def test_inference_settings_change_misses_instead_of_wrong_hit(
+        self, trained_sato, serving_split, tmp_path
+    ):
+        """Topic vectors inferred under other settings are never read back.
+
+        The LDA state is the same on both sides; only ``infer_iterations``
+        differs, as when a caller sets it after construction.
+        """
+        _, tables = serving_split
+        root = tmp_path / "store"
+        filled = Predictor(trained_sato, sketch_store=root)
+        stored = filled._batch_topics(tables)
+        filled.close()
+
+        model = Predictor.from_bundle(save_model(trained_sato, tmp_path / "b")).model
+        model.column_model.intent_estimator.lda.infer_iterations = 2
+        expected = Predictor(model)._batch_topics(tables)
+        assert not np.array_equal(expected, stored)
+        predictor = Predictor(model, sketch_store=root)
+        assert np.array_equal(predictor._batch_topics(tables), expected)
+        assert predictor.cache_info()["sketch_store"]["hits"] == 0
+        predictor.close()
+
     def test_uncached_predictor_serves_the_model_and_the_store(
         self, trained_sato, serving_split, tmp_path
     ):

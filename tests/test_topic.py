@@ -103,24 +103,23 @@ class TestLDA:
     def test_deterministic_given_seed(self):
         a = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         b = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
-        assert np.allclose(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
+        assert np.array_equal(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
 
 
 class _ChoiceLDA(LatentDirichletAllocation):
-    """The Gibbs sweep as it drew with ``rng.choice``: the reference."""
+    """The fit's Gibbs sweep as it drew with ``rng.choice``: the reference."""
 
     def _gibbs_sweep(
         self, tokens, topics, doc_topic_row, topic_token, topic_totals,
-        vocabulary_size, rng, update_topics,
+        vocabulary_size, rng,
     ):
         beta_sum = self.beta * vocabulary_size
         for position in range(tokens.size):
             token = tokens[position]
             old_topic = topics[position]
             doc_topic_row[old_topic] -= 1
-            if update_topics:
-                topic_token[old_topic, token] -= 1
-                topic_totals[old_topic] -= 1
+            topic_token[old_topic, token] -= 1
+            topic_totals[old_topic] -= 1
             weights = (
                 (topic_token[:, token] + self.beta)
                 / (topic_totals + beta_sum)
@@ -133,9 +132,8 @@ class _ChoiceLDA(LatentDirichletAllocation):
                 new_topic = int(rng.choice(self.n_topics, p=weights / weights_sum))
             topics[position] = new_topic
             doc_topic_row[new_topic] += 1
-            if update_topics:
-                topic_token[new_topic, token] += 1
-                topic_totals[new_topic] += 1
+            topic_token[new_topic, token] += 1
+            topic_totals[new_topic] += 1
 
 
 _WORDS = [f"w{i}" for i in range(120)]
@@ -206,22 +204,48 @@ class TestBatchedInference:
         expected = np.stack([lda.transform(d) for d in documents])
         assert np.array_equal(lda.transform_many(documents), expected)
 
-    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 0.01), (0.1, 0.0)])
-    def test_documents_that_can_fall_back_run_transform(
-        self, alpha, beta, monkeypatch
-    ):
+    @pytest.mark.parametrize(
+        "n_topics, alpha, beta, corpus",
+        [
+            pytest.param(5, 0.0, 0.0, _corpus(), id="0.0-0.0"),
+            pytest.param(5, 0.0, 0.01, _corpus(), id="0.0-0.01"),
+            pytest.param(5, 0.1, 0.0, _corpus(), id="0.1-0.0"),
+            # Two documents over 50 topics: most topics get no token, so
+            # phi is 0 / 0 for them under beta = 0.
+            pytest.param(
+                50, None, 0.0, [["a", "b", "c"], ["a", "b"]], id="empty-topics"
+            ),
+        ],
+    )
+    def test_degenerate_priors_stay_finite(self, n_topics, alpha, beta, corpus):
         lda = LatentDirichletAllocation(
-            n_topics=5, alpha=alpha, beta=beta, n_iterations=3, infer_iterations=4
-        ).fit(_corpus())
-        documents = _batch(7)
-        expected = np.stack([lda.transform(d) for d in documents])
-        sequential = []
-        transform = lda.transform
-        monkeypatch.setattr(
-            lda, "transform", lambda d: sequential.append(d) or transform(d)
-        )
-        assert np.array_equal(lda.transform_many(documents), expected)
-        assert ["w1"] in sequential
+            n_topics=n_topics, alpha=alpha, beta=beta, n_iterations=3,
+            infer_iterations=4,
+        ).fit(corpus)
+        documents = _batch(7) + [["a", "b", "c"], ["a"], ["c", "c", "b"]]
+        batch = lda.transform_many(documents)
+        assert np.isfinite(batch).all()
+        assert np.allclose(batch.sum(axis=1), 1.0)
+        alone = np.stack([lda.transform(d) for d in documents])
+        assert np.array_equal(batch, alone)
+        # Topics without tokens explain nothing; the others still inform.
+        known = [bool(lda.dictionary.doc2ids(d)) for d in documents]
+        assert any(known)
+        assert (np.ptp(batch[known], axis=1) > 0).all()
+
+    def test_token_no_topic_explains_spreads_uniformly(self):
+        documents = [["a", "b"], ["a", "c"], ["b", "c"]]
+        # "orphan" is in the dictionary but in no fitted document, so under
+        # beta = 0 every topic gives it zero weight.
+        dictionary = Dictionary(no_below=1).fit(documents + [["orphan"]])
+        lda = LatentDirichletAllocation(
+            n_topics=4, alpha=0.0, beta=0.0, n_iterations=3, infer_iterations=4
+        ).fit(documents, dictionary=dictionary)
+        batch = lda.transform_many([["orphan"], ["orphan", "a"], ["a"]])
+        assert np.isfinite(batch).all()
+        assert np.allclose(batch.sum(axis=1), 1.0)
+        assert np.allclose(batch[0], 0.25)
+        assert np.array_equal(batch[1], lda.transform(["orphan", "a"]))
 
     def test_empty_call(self, fitted_by_topics):
         assert fitted_by_topics[2].transform_many([]).shape == (0, 2)
@@ -229,15 +253,11 @@ class TestBatchedInference:
     @pytest.mark.parametrize("n_topics", [2, 24, 400])
     def test_explicit_draw_matches_rng_choice(self, n_topics):
         documents = _corpus()
-        config = {"n_topics": n_topics, "n_iterations": 3, "infer_iterations": 4}
+        config = {"n_topics": n_topics, "n_iterations": 3}
         ours = LatentDirichletAllocation(seed=7, **config).fit(documents)
         reference = _ChoiceLDA(seed=7, **config).fit(documents)
         assert np.array_equal(ours.topic_token_counts, reference.topic_token_counts)
         assert np.array_equal(ours.topic_counts, reference.topic_counts)
-        batch = _batch(7)
-        expected = np.stack([reference.transform(d) for d in batch])
-        assert np.array_equal(np.stack([ours.transform(d) for d in batch]), expected)
-        assert np.array_equal(ours.transform_many(batch), expected)
 
 
 class TestPredictorTopics:
