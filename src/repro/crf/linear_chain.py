@@ -21,6 +21,20 @@ from repro.obs import span
 __all__ = ["LinearChainCRF"]
 
 
+def _log_dot(log_vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``log(exp(log_vector) @ matrix)`` for a matrix of non-negative weights.
+
+    The vector is shifted by its maximum before it is exponentiated (by 0
+    when that maximum is not finite, so an all ``-inf`` vector gives
+    ``-inf``).  NumPy only: ``scipy.special.logsumexp`` spends most of a
+    call this small in array-API dispatch.
+    """
+    peak = np.max(log_vector)
+    if not np.isfinite(peak):
+        peak = 0.0
+    return np.log(np.exp(log_vector - peak) @ matrix) + peak
+
+
 class LinearChainCRF:
     """Linear-chain CRF over semantic-type sequences.
 
@@ -65,15 +79,7 @@ class LinearChainCRF:
 
     def log_partition(self, unary: np.ndarray) -> float:
         """Log of the normalisation constant Z(c) via the forward algorithm."""
-        # Imported here: serving only decodes, and scipy would otherwise
-        # load into every serving process.
-        from scipy.special import logsumexp
-
-        unary = self._check_unary(unary)
-        alpha = unary[0].copy()
-        for i in range(1, unary.shape[0]):
-            alpha = unary[i] + logsumexp(alpha[:, None] + self.pairwise, axis=0)
-        return float(logsumexp(alpha))
+        return self.forward_backward(unary)[2]
 
     def score(self, unary: np.ndarray, labels: np.ndarray) -> float:
         """Unnormalised log-score of a label sequence."""
@@ -91,24 +97,29 @@ class LinearChainCRF:
         return self.score(unary, labels) - self.log_partition(unary)
 
     def forward_backward(self, unary: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Forward and backward log-messages and the log-partition."""
-        from scipy.special import logsumexp
+        """Forward and backward log-messages and the log-partition.
 
+        Each message is one log-space product with ``exp(pairwise -
+        shift)``, ``shift`` the largest potential, so a step exponentiates
+        ``n_states`` values instead of ``n_states ** 2``.  That is exact up
+        to rounding while no pairwise potential lies more than about 700
+        below the largest, where its weight would underflow to 0.
+        """
         unary = self._check_unary(unary)
         m = unary.shape[0]
+        shift = np.max(self.pairwise)
+        if not np.isfinite(shift):
+            shift = 0.0
+        transition = np.exp(self.pairwise - shift)
         alpha = np.zeros((m, self.n_states))
         beta = np.zeros((m, self.n_states))
         alpha[0] = unary[0]
-        for i in range(1, m):
-            alpha[i] = unary[i] + logsumexp(
-                alpha[i - 1][:, None] + self.pairwise, axis=0
-            )
-        beta[m - 1] = 0.0
-        for i in range(m - 2, -1, -1):
-            beta[i] = logsumexp(
-                self.pairwise + (unary[i + 1] + beta[i + 1])[None, :], axis=1
-            )
-        log_z = float(logsumexp(alpha[m - 1]))
+        with np.errstate(divide="ignore"):
+            for i in range(1, m):
+                alpha[i] = unary[i] + shift + _log_dot(alpha[i - 1], transition)
+            for i in range(m - 2, -1, -1):
+                beta[i] = shift + _log_dot(unary[i + 1] + beta[i + 1], transition.T)
+            log_z = float(_log_dot(alpha[m - 1], np.ones(self.n_states)))
         return alpha, beta, log_z
 
     def marginals(self, unary: np.ndarray) -> np.ndarray:

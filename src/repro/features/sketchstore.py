@@ -3,11 +3,12 @@
 PR 8 made every per-column quantity the featurizer needs reducible to a
 mergeable accumulator; this module makes that state *persistent*.  A
 :class:`SketchStore` maps ``(section, column fingerprint)`` to a JSON
-sketch — char/stat accumulator state, the capped token prefix, the pooled
-word/para vectors and the assembled raw feature row — so re-annotating a
-mostly-unchanged corpus only featurizes the columns whose content actually
-changed.  Inferred table-topic vectors are stored the same way, keyed by
-the table fingerprint, removing LDA inference from repeat traffic.
+sketch — char/stat accumulator state, the capped token prefix and the
+assembled raw feature row — so re-annotating a mostly-unchanged corpus
+only featurizes the columns whose content actually changed.  Inferred
+table-topic vectors are stored the same way, keyed by the table
+fingerprint, removing LDA inference from repeat traffic, and so are
+``annotate``'s typed records, removing the model from unchanged tables.
 
 Design points:
 
@@ -25,7 +26,9 @@ Design points:
 * **Append-friendly on-disk layout.**  Each section is one append-only
   log of CRC-framed JSON records under the store directory; a ``put`` is
   a single flushed append.  Re-puts append a newer record that shadows
-  the older one at load time.
+  the older one at load time.  Vectors travel as base64 float64 text
+  (:func:`pack_vector`): opening a section decodes its whole log, and a
+  JSON float list costs several times more to parse than its bytes.
 * **LRU-bounded with explicit GC.**  The in-memory index of each section
   is an :class:`LRUCache` of at most ``capacity`` entries; :meth:`gc`
   compacts each log down to the live entries (and optionally deletes
@@ -56,6 +59,8 @@ Examples:
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import os
@@ -70,6 +75,7 @@ import numpy as np
 from repro.features.accumulators import ColumnAccumulator
 from repro.features.char_features import CHAR_VOCABULARY
 from repro.tables import Column, ColumnFingerprinter, Table
+from repro.types import TYPE_TO_INDEX
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -83,8 +89,12 @@ __all__ = [
     "substrate_hash",
     "column_section_config",
     "topic_section_config",
+    "record_section_config",
     "column_sketch",
+    "pack_vector",
+    "record_sketch",
     "sketch_vector",
+    "sketch_types",
     "sketch_tokens",
     "open_store",
     "sampled_column",
@@ -93,7 +103,8 @@ __all__ = [
 
 #: On-disk format version; bumped on any incompatible layout change and
 #: folded into every section config, so old entries become misses.
-STORE_FORMAT = 1
+#: Format 2 stores vectors packed (:func:`pack_vector`), not as JSON lists.
+STORE_FORMAT = 2
 
 #: Default per-section LRU bound of the in-memory index.
 DEFAULT_CAPACITY = 16384
@@ -200,6 +211,22 @@ def topic_section_config(intent, sample_rows: int | None = None) -> dict:
     }
 
 
+def record_section_config(model, sample_rows: int | None = None) -> dict:
+    """Section config for ``annotate``'s typed records keyed by table fingerprint.
+
+    A record (each column's predicted type and confidence) is the whole
+    model's output for a table's content, so the section hashes the
+    model's full configuration and fitted state.
+    """
+    return {
+        "kind": "table-record",
+        "format": STORE_FORMAT,
+        "model": model.config_dict(),
+        "sample_rows": sample_rows,
+        "state": state_hash(model.state_dict()),
+    }
+
+
 # ------------------------------------------------------- sketch (de)coding
 
 
@@ -209,42 +236,80 @@ def column_sketch(
     """Full sketch of one column under a fitted featurizer.
 
     Holds the exact accumulator states (char counts, stat counter, token
-    prefix), the pooled word/para vectors and the assembled raw feature
-    row, so a hit can serve the row directly and rebuild the topic
-    document from the tokens.  ``row`` lets a caller that already
-    finalized the accumulator pass the raw row in instead of recomputing
-    it.
+    prefix) and the assembled raw feature row, so a hit can serve the row
+    directly and rebuild the topic document from the tokens.  ``row``
+    lets a caller that already finalized the accumulator pass the raw row
+    in instead of recomputing it.
     """
     if row is None:
         row = featurizer.raw_from_accumulator(accumulator)
-    groups = {group.name: group for group in featurizer.groups}
     return {
         "n": int(n_rows),
         "tokens": accumulator.token_list(),
         "char": accumulator.char.to_state(),
         "stat": accumulator.stat.to_state(),
-        "word": row[groups["word"].slice].tolist(),
-        "para": row[groups["para"].slice].tolist(),
-        "row": row.tolist(),
+        "row": pack_vector(row),
     }
 
 
+def pack_vector(vector: np.ndarray) -> str:
+    """A float vector as base64 text of its little-endian float64 bytes.
+
+    Exact (every bit round-trips through :func:`sketch_vector`), and about
+    six times cheaper to decode than a JSON list of the same floats.
+    """
+    data = np.ascontiguousarray(vector, dtype="<f8").tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
 def sketch_vector(sketch: dict | None, field: str, size: int) -> np.ndarray | None:
-    """The ``size``-long vector stored under ``field``, or ``None`` when unusable.
+    """The ``size``-long vector packed under ``field``, or ``None`` when unusable.
 
     ``field`` is ``"row"`` for feature rows and ``"topic"`` for table-topic
     vectors; a missing, malformed or wrongly sized entry reads as a miss.
+    The array is read-only: it is a view of the decoded bytes.
     """
     if not isinstance(sketch, dict):
         return None
-    vector = sketch.get(field)
-    if not isinstance(vector, list) or len(vector) != size:
+    packed = sketch.get(field)
+    if not isinstance(packed, str):
         return None
     try:
-        array = np.asarray(vector, dtype=np.float64)
-    except (TypeError, ValueError):
+        data = base64.b64decode(packed, validate=True)
+    except (binascii.Error, ValueError):
         return None
-    return array if array.shape == (size,) else None
+    if len(data) != 8 * size:
+        return None
+    return np.frombuffer(data, dtype="<f8")
+
+
+def record_sketch(types: list[str], confidences: list[float]) -> dict:
+    """A table record for the store: per column, its type and confidence."""
+    return {"types": list(types), "confidence": list(confidences)}
+
+
+def sketch_types(
+    sketch: dict | None, n_columns: int
+) -> tuple[list[str], list[float]] | None:
+    """The per-column types and confidences of a :func:`record_sketch`, or ``None``.
+
+    The entry must hold ``n_columns`` known semantic type names under
+    ``"types"`` and as many floats under ``"confidence"``; anything else
+    reads as a miss.
+    """
+    if not isinstance(sketch, dict):
+        return None
+    types = sketch.get("types")
+    confidences = sketch.get("confidence")
+    if not (
+        isinstance(types, list)
+        and isinstance(confidences, list)
+        and len(types) == len(confidences) == n_columns
+        and all(isinstance(name, str) and name in TYPE_TO_INDEX for name in types)
+        and all(type(value) is float for value in confidences)
+    ):
+        return None
+    return types, confidences
 
 
 def sketch_tokens(sketch: dict | None) -> list[str] | None:

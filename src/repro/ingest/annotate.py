@@ -18,7 +18,11 @@ hit the store skip featurization entirely — their stored raw row and
 token prefix are bit-identical to what a recomputation would produce, so
 the parity contract is unchanged.  Table-topic vectors are cached the
 same way, keyed by the table fingerprint, which removes LDA inference
-from repeat traffic.
+from repeat traffic.  So is each table's typed output (per column, the
+predicted type and its rounded confidence), in a section that hashes the
+whole fitted model: an unchanged table under an unchanged model skips
+the model as well, and a re-annotation run costs little more than
+hashing its input plus the work on what changed.
 """
 
 from __future__ import annotations
@@ -44,9 +48,10 @@ class StreamingAnnotator:
     sketch_store:
         Optional :class:`~repro.features.sketchstore.SketchStore` (or a
         store directory path) of persisted column sketches.  Hits skip
-        featurization and topic inference with bit-identical output;
-        misses are computed and written back, warming the store for the
-        next run.
+        featurization, topic inference and, for a table whose content is
+        unchanged, the model itself, with bit-identical output; misses
+        are computed and written back, warming the store for the next
+        run.
     sample_rows:
         Bounded-sample dial: featurize store misses from each column's
         first N values only.  Fingerprints always cover the full
@@ -73,8 +78,7 @@ class StreamingAnnotator:
         from repro.features.sketchstore import open_store
 
         self.sketch_store, self._owns_store = open_store(sketch_store)
-        self._column_section: str | None = None
-        self._topic_section: str | None = None
+        self._sections_resolved: tuple[str, str, str | None] | None = None
 
     def close(self) -> None:
         """Close the sketch store if this annotator opened it from a path."""
@@ -83,12 +87,18 @@ class StreamingAnnotator:
 
     # -------------------------------------------------------- sketch plumbing
 
-    def _sections(self) -> tuple[str, str | None]:
-        """Resolve (lazily, once) the store sections this model writes."""
+    def _sections(self) -> tuple[str, str, str | None]:
+        """Resolve (lazily, once) the record, column and topic sections."""
         from repro.features import sketchstore
 
-        if self._column_section is None:
-            self._column_section = self.sketch_store.section(
+        if self._sections_resolved is None:
+            store = self.sketch_store
+            record_section = store.section(
+                sketchstore.record_section_config(
+                    self.model, sample_rows=self.sample_rows
+                )
+            )
+            column_section = store.section(
                 sketchstore.column_section_config(
                     self.featurizer,
                     producer="accumulator",
@@ -96,13 +106,15 @@ class StreamingAnnotator:
                     sample_rows=self.sample_rows,
                 )
             )
+            topic_section = None
             if self.intent is not None:
-                self._topic_section = self.sketch_store.section(
+                topic_section = store.section(
                     sketchstore.topic_section_config(
                         self.intent, sample_rows=self.sample_rows
                     )
                 )
-        return self._column_section, self._topic_section
+            self._sections_resolved = (record_section, column_section, topic_section)
+        return self._sections_resolved
 
     # --------------------------------------------------------------- annotate
 
@@ -149,7 +161,7 @@ class StreamingAnnotator:
             )
             vector = self.intent.topic_vector_from_tokens(document)
             topics = np.tile(vector, (features.shape[0], 1))
-        return self._finish_record(record, stream, features, topics)
+        return self._fill_record(record, stream, *self._predict(features, topics))
 
     def _annotate_stream_sketched(self, stream: TableStream) -> dict:
         from repro.features import sketchstore
@@ -174,10 +186,16 @@ class StreamingAnnotator:
             return record
 
         store = self.sketch_store
-        column_section = topic_section = None
-        if store is not None:
-            column_section, topic_section = self._sections()
         fingerprints = sketcher.fingerprints()
+        table_key = combine_fingerprints(fingerprints)
+        record_section = column_section = topic_section = None
+        if store is not None:
+            record_section, column_section, topic_section = self._sections()
+            typed = sketchstore.sketch_types(
+                store.get(record_section, table_key), stream.n_columns
+            )
+            if typed is not None:
+                return self._fill_record(record, stream, *typed)
         raw_rows: list[np.ndarray] = []
         column_tokens: list[list[str]] = []
         for index, fingerprint in enumerate(fingerprints):
@@ -209,9 +227,7 @@ class StreamingAnnotator:
         topics = None
         if self.intent is not None:
             vector = None
-            table_key = None
             if store is not None:
-                table_key = combine_fingerprints(fingerprints)
                 vector = sketchstore.sketch_vector(
                     store.get(topic_section, table_key), "topic", self.intent.n_topics
                 )
@@ -219,9 +235,20 @@ class StreamingAnnotator:
                 document = self._document(column_tokens)
                 vector = self.intent.topic_vector_from_tokens(document)
                 if store is not None:
-                    store.put(topic_section, table_key, {"topic": vector.tolist()})
+                    store.put(
+                        topic_section,
+                        table_key,
+                        {"topic": sketchstore.pack_vector(vector)},
+                    )
             topics = np.tile(vector, (features.shape[0], 1))
-        return self._finish_record(record, stream, features, topics)
+        labels, confidences = self._predict(features, topics)
+        if store is not None:
+            store.put(
+                record_section,
+                table_key,
+                sketchstore.record_sketch(labels, confidences),
+            )
+        return self._fill_record(record, stream, labels, confidences)
 
     # -------------------------------------------------------------- record io
 
@@ -244,18 +271,26 @@ class StreamingAnnotator:
                 break
         return document
 
-    def _finish_record(self, record, stream, features, topics) -> dict:
+    def _predict(self, features, topics) -> tuple[list[str], list[float]]:
+        """Each column's predicted type and its confidence, rounded to 6 places."""
         probabilities = self.model.column_model.predict_proba_matrix(features, topics)
         marginals = self.model.marginals_from_proba(probabilities)
         labels = self.model.labels_from_proba(probabilities)
-        for index, label in enumerate(labels):
-            confidence = float(marginals[index, TYPE_TO_INDEX[label]])
+        confidences = [
+            round(float(marginals[index, TYPE_TO_INDEX[label]]), 6)
+            for index, label in enumerate(labels)
+        ]
+        return labels, confidences
+
+    @staticmethod
+    def _fill_record(record, stream, labels, confidences) -> dict:
+        for index, (label, confidence) in enumerate(zip(labels, confidences)):
             record["columns"].append(
                 {
                     "index": index,
                     "header": stream.headers[index],
                     "predicted_type": label,
-                    "confidence": round(confidence, 6),
+                    "confidence": confidence,
                 }
             )
         return record

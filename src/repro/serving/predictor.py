@@ -356,7 +356,7 @@ class Predictor:
                 fresh[key] = vector = vector.copy()
                 cache.put(key, vector)
                 if store is not None:
-                    store.put(section, key, {field: vector.tolist()})
+                    store.put(section, key, {field: sketchstore.pack_vector(vector)})
         return [
             fresh[key] if vector is None else vector
             for key, vector in zip(keys, found)

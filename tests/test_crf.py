@@ -116,6 +116,20 @@ class TestExactInference:
             total += np.exp(crf.log_likelihood(unary, np.array(labels)))
         assert total == pytest.approx(1.0, rel=1e-9)
 
+    def test_forbidden_transitions_and_wide_potentials_match_brute_force(self):
+        rng = np.random.default_rng(12)
+        pairwise = rng.normal(scale=100.0, size=(3, 3))
+        pairwise[0, 1] = -np.inf  # a forbidden transition carries no weight
+        crf = LinearChainCRF(3, pairwise=pairwise)
+        unary = rng.normal(scale=50.0, size=(4, 3))
+        log_z = brute_force_log_partition(crf, unary)
+        assert crf.log_partition(unary) == pytest.approx(log_z, rel=1e-9, abs=1e-9)
+        expected = np.zeros((4, 3))
+        for labels in itertools.product(range(3), repeat=4):
+            weight = np.exp(crf.score(unary, np.array(labels)) - log_z)
+            expected[np.arange(4), labels] += weight
+        np.testing.assert_allclose(crf.marginals(unary), expected, atol=1e-12)
+
     def test_single_column_table(self):
         crf = random_crf(4, seed=11)
         unary = np.array([[0.1, 2.0, -1.0, 0.3]])

@@ -11,6 +11,7 @@ hit), and GC keeps the on-disk logs bounded by the LRU capacity.
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 
@@ -371,6 +372,29 @@ class TestSketchCoding:
         assert sketchstore.sketch_tokens({"tokens": [1, 2]}) is None
         assert sketchstore.sketch_vector({"topic": [0.5]}, "topic", 3) is None
 
+    def test_packed_vectors_round_trip_every_bit(self):
+        vector = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3])
+        # JSON round trip, exactly as the store would persist it.
+        sketch = json.loads(json.dumps({"row": sketchstore.pack_vector(vector)}))
+        unpacked = sketchstore.sketch_vector(sketch, "row", vector.size)
+        assert unpacked.tobytes() == vector.tobytes()
+        assert sketchstore.sketch_vector(sketch, "row", vector.size - 1) is None
+        assert sketchstore.sketch_vector({"row": "not base64!"}, "row", 1) is None
+
+    def test_malformed_records_degrade_to_none(self):
+        good = sketchstore.record_sketch(["city", "name"], [0.5, 1.0])
+        assert sketchstore.sketch_types(good, 2) == (["city", "name"], [0.5, 1.0])
+        assert sketchstore.sketch_types(None, 2) is None
+        assert sketchstore.sketch_types(good, 3) is None
+        assert sketchstore.sketch_types({"types": ["city", "name"]}, 2) is None
+        for types in (["city", "no-such-type"], ["city", ["name"]]):
+            assert sketchstore.sketch_types({**good, "types": types}, 2) is None
+        for confidence in ([0.5, 1], [0.5, "1.0"], [0.5, True]):
+            assert (
+                sketchstore.sketch_types({**good, "confidence": confidence}, 2)
+                is None
+            )
+
 
 # -------------------------------------------------------- annotation parity
 
@@ -403,6 +427,51 @@ class TestAnnotateParity:
 
         assert json.dumps(cold) == json.dumps(oracle)
         assert json.dumps(warm) == json.dumps(oracle)
+
+    def test_unchanged_tables_skip_the_model(
+        self, trained_sato, serving_split, tmp_path, monkeypatch
+    ):
+        """A warm pass over unchanged tables serves every record from the store."""
+        _, tables = serving_split
+        root = tmp_path / "store"
+        cold_annotator = StreamingAnnotator(trained_sato, sketch_store=root)
+        cold = annotate_all(cold_annotator, tables, 3)
+        cold_annotator.close()
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model ran on an unchanged table")
+
+        monkeypatch.setattr(
+            trained_sato.column_model, "predict_proba_matrix", no_model
+        )
+        warm_annotator = StreamingAnnotator(trained_sato, sketch_store=root)
+        warm = annotate_all(warm_annotator, tables, 3)
+        warm_annotator.close()
+        assert json.dumps(warm) == json.dumps(cold)
+
+    def test_model_change_misses_records_but_reuses_columns(
+        self, trained_sato, serving_split, tmp_path
+    ):
+        """A record is only served under the model that produced it."""
+        _, tables = serving_split
+        root = tmp_path / "store"
+        annotator = StreamingAnnotator(trained_sato, sketch_store=root)
+        before = annotate_all(annotator, tables, 3)
+        annotator.close()
+
+        # Same featurizer and LDA, other CRF: column and topic sketches
+        # still apply, the stored records do not.
+        changed = copy.deepcopy(trained_sato)
+        changed.crf.pairwise = changed.crf.pairwise[::-1].copy()
+        oracle = annotate_all(StreamingAnnotator(changed), tables, 3)
+        assert json.dumps(oracle) != json.dumps(before)
+        warm_annotator = StreamingAnnotator(changed, sketch_store=root)
+        got = annotate_all(warm_annotator, tables, 3)
+        stats = warm_annotator.sketch_store.stats()
+        warm_annotator.close()
+        assert json.dumps(got) == json.dumps(oracle)
+        assert stats["misses"] == sum(1 for table in tables if table.n_columns)
+        assert stats["hits"] > 0
 
     def test_chunk_size_does_not_change_store_keys(
         self, trained_sato, serving_split, tmp_path
