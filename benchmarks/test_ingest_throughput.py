@@ -51,9 +51,7 @@ for stream in open_source(path, chunk_rows):
     ]
     for chunk in stream.chunks:
         for accumulator, values in zip(accumulators, chunk.columns):
-            accumulator.partial_fit(
-                values, start_row=chunk.start_row, row_span=chunk.n_rows
-            )
+            accumulator.partial_fit(values)
         rows += chunk.n_rows
 elapsed = time.perf_counter() - start
 print(json.dumps({

@@ -19,7 +19,7 @@ from repro.features.stats_features import (
     StatAccumulator,
     column_statistics,
 )
-from repro.features.accumulators import ColumnAccumulator, TokenAccumulator
+from repro.features.accumulators import ColumnAccumulator
 from repro.features.featurizer import ColumnFeaturizer, FeatureGroup, FeatureMatrix
 from repro.features.engine import (
     VectorizedEngine,
@@ -38,7 +38,6 @@ __all__ = [
     "column_statistics",
     "stats_features_batch",
     "ColumnAccumulator",
-    "TokenAccumulator",
     "ColumnFeaturizer",
     "FeatureGroup",
     "FeatureMatrix",

@@ -1,233 +1,75 @@
-"""Mergeable per-column accumulators for streaming featurization.
+"""Per-column accumulators for streaming featurization.
 
 Every per-column quantity the featurizer needs — Char statistics, Stat
 statistics, and the capped token prefix feeding the Word/Para embeddings
-— is reducible to a mergeable accumulator with ``partial_fit`` /
-``merge`` / ``finalize``.  Feeding a column's values in chunks of any
-size, merging partial accumulators in any order, and finalizing yields
-the exact same bits as one full scan:
+— folds into one :class:`ColumnAccumulator` chunk by chunk: one
+``partial_fit(values)`` per chunk, in the row order every
+:class:`~repro.tables.TableStream` yields its chunks, then
+:meth:`~repro.features.ColumnFeaturizer.finalize_columns`.  The result
+is the exact same bits as one full scan, for every chunk size:
 
 * :class:`~repro.features.char_features.CharAccumulator` and
   :class:`~repro.features.stats_features.StatAccumulator` hold exact
-  integer/``Counter`` state and finalize through order-invariant
-  canonical formulas (see their modules);
-* :class:`TokenAccumulator` handles the one *order-dependent* quantity —
-  the first ``max_tokens`` tokens of the column — by tracking
-  row-positioned token segments that coalesce when contiguous, so merge
-  order cannot change the assembled prefix;
-* :class:`ColumnAccumulator` composes the three behind one
-  ``partial_fit``/``merge`` pair and is what
-  :meth:`~repro.features.ColumnFeaturizer.column_accumulator` hands out.
+  integer/``Counter`` state and finalize through canonical formulas
+  (see their modules), so chunk boundaries cannot change them;
+* the token prefix is the first ``max_tokens`` tokens of the column's
+  values in row order, so appending each chunk's tokens until the cap
+  is reached assembles the prefix the full scan tokenizes.
 
 Examples:
-    >>> from repro.features.accumulators import TokenAccumulator
-    >>> whole = TokenAccumulator(max_tokens=4).partial_fit(["a b", "c", "d e"])
-    >>> head = TokenAccumulator(max_tokens=4).partial_fit(["a b"], start_row=0)
-    >>> tail = TokenAccumulator(max_tokens=4).partial_fit(["c", "d e"], start_row=1)
-    >>> tail.merge(head).tokens() == whole.tokens() == ["a", "b", "c", "d"]
+    >>> from repro.features.accumulators import ColumnAccumulator
+    >>> whole = ColumnAccumulator(max_tokens=4).partial_fit(["a b", "c", "d e"])
+    >>> chunked = ColumnAccumulator(max_tokens=4).partial_fit(["a b"])
+    >>> chunked.partial_fit(["c", "d e"]).token_list()
+    ['a', 'b', 'c', 'd']
+    >>> chunked.token_list() == whole.token_list()
     True
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.embeddings.tokenizer import tokenize
 from repro.features.char_features import CharAccumulator
 from repro.features.stats_features import StatAccumulator
 
-__all__ = [
-    "CharAccumulator",
-    "StatAccumulator",
-    "TokenAccumulator",
-    "ColumnAccumulator",
-]
+__all__ = ["ColumnAccumulator"]
 
 
-class TokenAccumulator:
-    """Order-invariant accumulator for a column's capped token prefix.
+class ColumnAccumulator:
+    """Everything one column needs, folded in one chunk at a time.
 
-    The featurizer's Word/Para features read the first ``max_tokens``
-    tokens of the column *in row order* — a prefix, not a bag, so naive
-    chunk concatenation would depend on merge order.  Each
-    ``partial_fit`` therefore records a *segment*: the rows it covers
-    (``start_row`` + row span) and the first ``max_tokens`` tokens of
-    those rows.  Contiguous segments coalesce (a segment capped at
-    ``max_tokens`` already holds every token the combined prefix can
-    need), so any merge order over any chunking reassembles the same
-    prefix the full scan produces.
-
-    Memory is O(``max_tokens`` + number of non-contiguous segments).
+    One ``partial_fit`` per chunk feeds the Char and Stat accumulators
+    and grows the capped token prefix;
+    :meth:`~repro.features.ColumnFeaturizer.finalize_columns` turns a
+    batch of these into the standardized feature matrix.  Memory is
+    O(distinct values + ``max_tokens``), not O(rows).
     """
 
-    __slots__ = ("max_tokens", "_segments")
+    __slots__ = ("char", "stat", "max_tokens", "_tokens")
 
     def __init__(self, max_tokens: int) -> None:
         if max_tokens < 0:
             raise ValueError("max_tokens must be >= 0")
+        self.char = CharAccumulator()
+        self.stat = StatAccumulator()
         self.max_tokens = max_tokens
-        # Sorted, disjoint [start_row, row_span, tokens] segments.
-        self._segments: list[list] = []
+        self._tokens: list[str] = []
 
-    @property
-    def n_rows(self) -> int:
-        """Total rows covered (the end of the furthest segment)."""
-        if not self._segments:
-            return 0
-        last = self._segments[-1]
-        return last[0] + last[1]
-
-    def partial_fit(
-        self,
-        values: Iterable[str],
-        start_row: int | None = None,
-        row_span: int | None = None,
-    ) -> "TokenAccumulator":
-        """Fold a contiguous batch of values into the accumulator.
-
-        ``start_row`` defaults to appending after the rows seen so far
-        (the sequential-scan case).  ``row_span`` covers ragged chunks
-        whose row extent exceeds the number of values this column
-        contributes; it defaults to ``len(values)``.
-        """
+    def partial_fit(self, values: Sequence[str]) -> "ColumnAccumulator":
+        """Fold the column's next chunk of values into the accumulator."""
         values = list(values)
-        if start_row is None:
-            start_row = self.n_rows
-        if row_span is None:
-            row_span = len(values)
-        if row_span < len(values):
-            raise ValueError("row_span cannot be smaller than the number of values")
-        tokens: list[str] = []
+        self.char.partial_fit(values)
+        self.stat.partial_fit(values)
+        tokens = self._tokens
         for value in values:
             if len(tokens) >= self.max_tokens:
                 break
             tokens.extend(tokenize(value))
         del tokens[self.max_tokens :]
-        self._insert([start_row, row_span, tokens])
-        return self
-
-    def merge(self, other: "TokenAccumulator") -> "TokenAccumulator":
-        """Fold another accumulator's segments into this one."""
-        if other.max_tokens != self.max_tokens:
-            raise ValueError("cannot merge TokenAccumulators with different caps")
-        for start_row, row_span, tokens in other._segments:
-            self._insert([start_row, row_span, list(tokens)])
-        return self
-
-    def _insert(self, segment: list) -> None:
-        self._segments.append(segment)
-        self._segments.sort(key=lambda seg: seg[0])
-        merged: list[list] = []
-        for seg in self._segments:
-            if merged:
-                prev = merged[-1]
-                prev_end = prev[0] + prev[1]
-                if seg[0] < prev_end:
-                    raise ValueError(
-                        f"overlapping token segments at row {seg[0]} "
-                        f"(previous segment covers up to row {prev_end})"
-                    )
-                if seg[0] == prev_end:
-                    prev[1] += seg[1]
-                    if len(prev[2]) < self.max_tokens:
-                        prev[2].extend(seg[2])
-                        del prev[2][self.max_tokens :]
-                    continue
-            merged.append(seg)
-        self._segments = merged
-
-    def to_state(self) -> dict:
-        """JSON-serialisable exact state (round-trips via :meth:`from_state`)."""
-        return {
-            "max_tokens": self.max_tokens,
-            "segments": [
-                [start_row, row_span, list(tokens)]
-                for start_row, row_span, tokens in self._segments
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TokenAccumulator":
-        """Rebuild an accumulator from :meth:`to_state` output."""
-        accumulator = cls(int(state["max_tokens"]))
-        for start_row, row_span, tokens in state["segments"]:
-            accumulator._insert(
-                [int(start_row), int(row_span), [str(t) for t in tokens]]
-            )
-        return accumulator
-
-    def tokens(self) -> list[str]:
-        """The assembled token prefix (at most ``max_tokens`` tokens)."""
-        if len(self._segments) == 1:
-            return list(self._segments[0][2][: self.max_tokens])
-        tokens: list[str] = []
-        for _, _, segment_tokens in self._segments:
-            tokens.extend(segment_tokens)
-            if len(tokens) >= self.max_tokens:
-                break
-        del tokens[self.max_tokens :]
-        return tokens
-
-
-class ColumnAccumulator:
-    """Composite accumulator carrying everything one column needs.
-
-    One ``partial_fit`` per chunk feeds the Char, Stat and token
-    accumulators together;
-    :meth:`~repro.features.ColumnFeaturizer.finalize_columns` turns a
-    batch of these into the standardized feature matrix.
-    """
-
-    __slots__ = ("char", "stat", "tokens")
-
-    def __init__(self, max_tokens: int) -> None:
-        self.char = CharAccumulator()
-        self.stat = StatAccumulator()
-        self.tokens = TokenAccumulator(max_tokens)
-
-    @property
-    def n_rows(self) -> int:
-        """Total rows folded in so far."""
-        return self.tokens.n_rows
-
-    def partial_fit(
-        self,
-        values: Sequence[str],
-        start_row: int | None = None,
-        row_span: int | None = None,
-    ) -> "ColumnAccumulator":
-        """Fold one contiguous chunk of column values into the accumulator."""
-        values = list(values)
-        self.char.partial_fit(values)
-        self.stat.partial_fit(values)
-        self.tokens.partial_fit(values, start_row=start_row, row_span=row_span)
-        return self
-
-    def merge(self, other: "ColumnAccumulator") -> "ColumnAccumulator":
-        """Fold another column accumulator's state into this one."""
-        self.char.merge(other.char)
-        self.stat.merge(other.stat)
-        self.tokens.merge(other.tokens)
         return self
 
     def token_list(self) -> list[str]:
         """The column's capped token prefix (for Word/Para features)."""
-        return self.tokens.tokens()
-
-    def to_state(self) -> dict:
-        """JSON-serialisable exact state of all three sub-accumulators."""
-        return {
-            "char": self.char.to_state(),
-            "stat": self.stat.to_state(),
-            "tokens": self.tokens.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ColumnAccumulator":
-        """Rebuild a composite accumulator from :meth:`to_state` output."""
-        tokens = TokenAccumulator.from_state(state["tokens"])
-        accumulator = cls(tokens.max_tokens)
-        accumulator.char = CharAccumulator.from_state(state["char"])
-        accumulator.stat = StatAccumulator.from_state(state["stat"])
-        accumulator.tokens = tokens
-        return accumulator
+        return list(self._tokens)

@@ -7,12 +7,12 @@ of its occurrences across the column's values, plus a handful of shape
 statistics.  The result is a fixed-length vector independent of the number
 of rows.
 
-The implementation is a mergeable accumulator (:class:`CharAccumulator`)
-holding *exact* sufficient statistics — integer occurrence/presence counts
-and a length histogram — so a column fed in chunks, in any chunk size and
-any merge order, finalizes to the exact same bits as a single full scan.
-:func:`char_features` is the full-scan spelling: one accumulator, one
-``partial_fit``, one ``finalize``.
+The implementation is an accumulator (:class:`CharAccumulator`) holding
+*exact* sufficient statistics — integer occurrence/presence counts and a
+length histogram — so a column fed in chunks of any size finalizes to the
+exact same bits as a single full scan.  :func:`char_features` is the
+full-scan spelling: one accumulator, one ``partial_fit``, one
+``finalize``.
 """
 
 from __future__ import annotations
@@ -50,19 +50,17 @@ _CHAR_INDEX = {c: i for i, c in enumerate(CHAR_VOCABULARY)}
 
 
 class CharAccumulator:
-    """Mergeable sufficient statistics for the Char feature group.
+    """Exact sufficient statistics for the Char feature group.
 
     All state is exact (integers and an integer-length histogram), so
-    ``partial_fit`` chunking and ``merge`` order never change the
-    finalized vector: ``finalize`` reduces the same exact state through
-    the same order-invariant formulas (``math.fsum`` is correctly
-    rounded) no matter how the values arrived.
+    ``partial_fit`` chunking never changes the finalized vector:
+    ``finalize`` reduces the same exact state through the same formulas
+    (``math.fsum`` is correctly rounded) however the values were split.
 
     Examples:
         >>> whole = CharAccumulator().partial_fit(["ab", "a"])
-        >>> left = CharAccumulator().partial_fit(["ab"])
-        >>> right = CharAccumulator().partial_fit(["a"])
-        >>> bool((left.merge(right).finalize() == whole.finalize()).all())
+        >>> chunked = CharAccumulator().partial_fit(["ab"]).partial_fit(["a"])
+        >>> bool((chunked.finalize() == whole.finalize()).all())
         True
     """
 
@@ -122,66 +120,6 @@ class CharAccumulator:
                 counts[index] += count
                 presence[index] += 1
         return self
-
-    def merge(self, other: "CharAccumulator") -> "CharAccumulator":
-        """Fold another accumulator's state into this one."""
-        self.n_values += other.n_values
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.presence = [a + b for a, b in zip(self.presence, other.presence)]
-        self.n_alpha += other.n_alpha
-        self.n_digit += other.n_digit
-        self.n_space += other.n_space
-        self.n_punct += other.n_punct
-        self.n_upper += other.n_upper
-        self.total_chars += other.total_chars
-        self.lengths.update(other.lengths)
-        return self
-
-    def to_state(self) -> dict:
-        """JSON-serialisable exact state (round-trips via :meth:`from_state`).
-
-        The length histogram's integer keys become strings (JSON object
-        keys are strings); everything else is plain integers.
-        """
-        return {
-            "n_values": self.n_values,
-            "counts": list(self.counts),
-            "presence": list(self.presence),
-            "n_alpha": self.n_alpha,
-            "n_digit": self.n_digit,
-            "n_space": self.n_space,
-            "n_punct": self.n_punct,
-            "n_upper": self.n_upper,
-            "total_chars": self.total_chars,
-            "lengths": {str(k): v for k, v in self.lengths.items()},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CharAccumulator":
-        """Rebuild an accumulator from :meth:`to_state` output.
-
-        The restored accumulator finalizes (and merges) to the exact
-        same bits as the original: the state IS the sufficient
-        statistics.
-        """
-        accumulator = cls()
-        counts = [int(c) for c in state["counts"]]
-        presence = [int(p) for p in state["presence"]]
-        if len(counts) != len(CHAR_VOCABULARY) or len(presence) != len(CHAR_VOCABULARY):
-            raise ValueError("char state does not match CHAR_VOCABULARY")
-        accumulator.n_values = int(state["n_values"])
-        accumulator.counts = counts
-        accumulator.presence = presence
-        accumulator.n_alpha = int(state["n_alpha"])
-        accumulator.n_digit = int(state["n_digit"])
-        accumulator.n_space = int(state["n_space"])
-        accumulator.n_punct = int(state["n_punct"])
-        accumulator.n_upper = int(state["n_upper"])
-        accumulator.total_chars = int(state["total_chars"])
-        accumulator.lengths = Counter(
-            {int(k): int(v) for k, v in state["lengths"].items()}
-        )
-        return accumulator
 
     def finalize(self) -> np.ndarray:
         """Reduce the accumulated state to the Char feature vector."""

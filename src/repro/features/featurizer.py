@@ -241,11 +241,8 @@ class ColumnFeaturizer:
                     f"chunk has {chunk.n_columns} columns, stream "
                     f"declared {len(accumulators)}"
                 )
-            row_span = chunk.n_rows
             for accumulator, values in zip(accumulators, chunk.columns):
-                accumulator.partial_fit(
-                    values, start_row=chunk.start_row, row_span=row_span
-                )
+                accumulator.partial_fit(values)
         return accumulators
 
     def _raw_from_accumulator(self, accumulator) -> np.ndarray:
@@ -253,8 +250,8 @@ class ColumnFeaturizer:
 
         Bit-identical to :meth:`reference_transform_columns`' raw row for
         the same values: the Char/Stat accumulators ARE the loop
-        implementation, and the token accumulator reassembles the exact
-        capped prefix the loop path tokenizes.
+        implementation, and the token prefix grows in row order to the
+        exact capped prefix the loop path tokenizes.
         """
         tokens = accumulator.token_list()[: self.max_tokens_per_column]
         char_vector = accumulator.char.finalize()
@@ -290,7 +287,7 @@ class ColumnFeaturizer:
 
         The streaming counterpart of :meth:`transform_columns`: same
         standardisation, same output shape, bit-identical to the loop
-        full-scan path for any chunking/merge order of the inputs.
+        full-scan path for any chunking of the inputs.
         """
         accumulators = list(accumulators)
         if not accumulators:

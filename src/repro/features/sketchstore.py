@@ -1,9 +1,9 @@
 """Persistent, content-fingerprint-keyed store of per-column feature sketches.
 
-PR 8 made every per-column quantity the featurizer needs reducible to a
-mergeable accumulator; this module makes that state *persistent*.  A
-:class:`SketchStore` maps ``(section, column fingerprint)`` to a JSON
-sketch — char/stat accumulator state, the capped token prefix and the
+Streaming featurization folds each column into a
+:class:`~repro.features.ColumnAccumulator`; this module keeps what that
+fold produced.  A :class:`SketchStore` maps ``(section, column
+fingerprint)`` to a JSON sketch — the capped token prefix and the
 assembled raw feature row — so re-annotating a mostly-unchanged corpus
 only featurizes the columns whose content actually changed.  Inferred
 table-topic vectors are stored the same way, keyed by the table
@@ -230,26 +230,14 @@ def record_section_config(model, sample_rows: int | None = None) -> dict:
 # ------------------------------------------------------- sketch (de)coding
 
 
-def column_sketch(
-    featurizer, accumulator, n_rows: int, row: np.ndarray | None = None
-) -> dict:
-    """Full sketch of one column under a fitted featurizer.
+def column_sketch(tokens: list[str], row: np.ndarray) -> dict:
+    """Sketch of one column: its capped token prefix and raw feature row.
 
-    Holds the exact accumulator states (char counts, stat counter, token
-    prefix) and the assembled raw feature row, so a hit can serve the row
-    directly and rebuild the topic document from the tokens.  ``row``
-    lets a caller that already finalized the accumulator pass the raw row
-    in instead of recomputing it.
+    The two fields a hit reads: the row is served directly and the tokens
+    rebuild the table document for topic inference.  Readers ignore any
+    other field, so entries that also carry accumulator states still hit.
     """
-    if row is None:
-        row = featurizer.raw_from_accumulator(accumulator)
-    return {
-        "n": int(n_rows),
-        "tokens": accumulator.token_list(),
-        "char": accumulator.char.to_state(),
-        "stat": accumulator.stat.to_state(),
-        "row": pack_vector(row),
-    }
+    return {"tokens": list(tokens), "row": pack_vector(row)}
 
 
 def pack_vector(vector: np.ndarray) -> str:
@@ -699,10 +687,10 @@ class StreamSketcher:
     The incremental-reannotation dilemma: a column's fingerprint is only
     known once the whole stream has been consumed, but skipping
     featurization requires knowing it *first*.  The sketcher resolves it
-    by buffering each column's chunk segments (positions + values) while
-    hashing them, so accumulation happens lazily — only for columns that
-    turn out to be store misses — by replaying the exact ``partial_fit``
-    calls the eager path would have made (bit-identical by construction).
+    by buffering each column's chunk values while hashing them, so
+    accumulation happens lazily — only for columns that turn out to be
+    store misses — by replaying the exact ``partial_fit`` calls the eager
+    path would have made (bit-identical by construction).
 
     Memory stays bounded: once the deferred-value budget is exceeded the
     sketcher flushes everything into eager accumulators and stops
@@ -727,14 +715,11 @@ class StreamSketcher:
         self.sample_rows = sample_rows
         self._defer_limit = defer_values
         self._fingerprinters = [ColumnFingerprinter() for _ in range(n_columns)]
-        self._deferred: list[list[tuple[int, int, list[str]]]] | None = [
-            [] for _ in range(n_columns)
-        ]
+        self._deferred: list[list[list[str]]] | None = [[] for _ in range(n_columns)]
         self._accumulators: list[ColumnAccumulator] | None = None
         self._built: dict[int, ColumnAccumulator] = {}
         self._kept = [0] * n_columns
         self._pending = 0
-        self.n_rows = 0
 
     @property
     def n_columns(self) -> int:
@@ -746,52 +731,40 @@ class StreamSketcher:
         """Whether the deferred buffer spilled into eager accumulation."""
         return self._accumulators is not None
 
-    def _new_accumulator(self) -> ColumnAccumulator:
-        return self._featurizer.column_accumulator(self._token_cap)
-
     def feed(self, chunk) -> None:
-        """Fold one :class:`~repro.tables.TableChunk` into the sketcher."""
-        row_span = chunk.n_rows
-        self.n_rows = max(self.n_rows, chunk.start_row + row_span)
+        """Fold the stream's next :class:`~repro.tables.TableChunk` in."""
         sample = self.sample_rows
         for index, values in enumerate(chunk.columns):
             values = list(values)
             self._fingerprinters[index].update(values)
-            kept = values
             if sample is not None:
-                budget = sample - self._kept[index]
-                if budget <= 0:
-                    kept = []
-                elif len(values) > budget:
-                    kept = values[:budget]
-            self._kept[index] += len(kept)
+                values = values[: max(0, sample - self._kept[index])]
+                self._kept[index] += len(values)
+            if not values:
+                continue
             if self._accumulators is not None:
-                if kept or sample is None:
-                    self._accumulators[index].partial_fit(
-                        kept, start_row=chunk.start_row, row_span=row_span
-                    )
+                self._accumulators[index].partial_fit(values)
             else:
-                if kept or sample is None:
-                    self._deferred[index].append((chunk.start_row, row_span, kept))
-                    self._pending += len(kept)
+                self._deferred[index].append(values)
+                self._pending += len(values)
         if self._accumulators is None and self._pending > self._defer_limit:
             self._flush()
 
     def _flush(self) -> None:
         accumulators = []
-        for index, segments in enumerate(self._deferred):
+        for index, chunks in enumerate(self._deferred):
             accumulator = self._built.pop(index, None)
             if accumulator is None:
-                accumulator = self._replay(segments)
+                accumulator = self._replay(chunks)
             accumulators.append(accumulator)
         self._accumulators = accumulators
         self._deferred = None
         self._pending = 0
 
-    def _replay(self, segments: list[tuple[int, int, list[str]]]) -> ColumnAccumulator:
-        accumulator = self._new_accumulator()
-        for start_row, row_span, values in segments:
-            accumulator.partial_fit(values, start_row=start_row, row_span=row_span)
+    def _replay(self, chunks: list[list[str]]) -> ColumnAccumulator:
+        accumulator = self._featurizer.column_accumulator(self._token_cap)
+        for values in chunks:
+            accumulator.partial_fit(values)
         return accumulator
 
     def fingerprints(self) -> list[str]:

@@ -5,14 +5,13 @@ Sherlock's Stat group has 27 hand-crafted global statistics per column
 missing-value counts, ...).  This module reproduces a 27-dimensional Stat
 vector with the same flavour of statistics.
 
-The implementation is a mergeable accumulator (:class:`StatAccumulator`)
-whose state is a missing-cell count plus a ``Counter`` of the distinct
-kept values — exact sufficient statistics for every one of the 27
-features.  ``finalize`` reduces that state through canonical
-order-invariant formulas (weighted ``math.fsum`` sums over the *sorted*
-distinct values), so a column fed in chunks, in any chunk size and any
-merge order, finalizes to the exact same bits as a single full scan.
-Memory is O(distinct kept values), not O(rows).
+The implementation is an accumulator (:class:`StatAccumulator`) whose
+state is a missing-cell count plus a ``Counter`` of the distinct kept
+values — exact sufficient statistics for every one of the 27 features.
+``finalize`` reduces that state through canonical formulas (weighted
+``math.fsum`` sums over the *sorted* distinct values), so a column fed
+in chunks of any size finalizes to the exact same bits as a single full
+scan.  Memory is O(distinct kept values), not O(rows).
 """
 
 from __future__ import annotations
@@ -98,13 +97,12 @@ def _weighted_median(sorted_pairs: list[tuple[float, int]], n: int) -> float:
 
 
 class StatAccumulator:
-    """Mergeable sufficient statistics for the Stat feature group.
+    """Exact sufficient statistics for the Stat feature group.
 
     Examples:
         >>> whole = StatAccumulator().partial_fit(["1", "2", ""])
-        >>> left = StatAccumulator().partial_fit(["1"])
-        >>> right = StatAccumulator().partial_fit(["2", ""])
-        >>> bool((right.merge(left).finalize() == whole.finalize()).all())
+        >>> chunked = StatAccumulator().partial_fit(["1"]).partial_fit(["2", ""])
+        >>> bool((chunked.finalize() == whole.finalize()).all())
         True
     """
 
@@ -124,32 +122,6 @@ class StatAccumulator:
             else:
                 self.n_missing += 1
         return self
-
-    def merge(self, other: "StatAccumulator") -> "StatAccumulator":
-        """Fold another accumulator's state into this one."""
-        self.n_values += other.n_values
-        self.n_missing += other.n_missing
-        self.counter.update(other.counter)
-        return self
-
-    def to_state(self) -> dict:
-        """JSON-serialisable exact state (round-trips via :meth:`from_state`)."""
-        return {
-            "n_values": self.n_values,
-            "n_missing": self.n_missing,
-            "counter": dict(self.counter),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StatAccumulator":
-        """Rebuild an accumulator from :meth:`to_state` output."""
-        accumulator = cls()
-        accumulator.n_values = int(state["n_values"])
-        accumulator.n_missing = int(state["n_missing"])
-        accumulator.counter = Counter(
-            {str(k): int(v) for k, v in state["counter"].items()}
-        )
-        return accumulator
 
     def finalize(self) -> np.ndarray:
         """Reduce the accumulated state to the 27-dimensional Stat vector."""

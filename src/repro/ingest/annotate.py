@@ -44,7 +44,7 @@ class StreamingAnnotator:
     model:
         A fitted :class:`~repro.models.SatoModel` (any variant).  Topic
         variants reconstruct the table-intent document from the per-column
-        token accumulators, so no variant needs the materialized table.
+        token prefixes, so no variant needs the materialized table.
     sketch_store:
         Optional :class:`~repro.features.sketchstore.SketchStore` (or a
         store directory path) of persisted column sketches.  Hits skip
@@ -142,12 +142,9 @@ class StreamingAnnotator:
                     f"{len(accumulators)}",
                     source=stream.metadata.get("source"),
                 )
-            row_span = chunk.n_rows
             for accumulator, values in zip(accumulators, chunk.columns):
-                accumulator.partial_fit(
-                    values, start_row=chunk.start_row, row_span=row_span
-                )
-            n_rows = max(n_rows, chunk.start_row + row_span)
+                accumulator.partial_fit(values)
+            n_rows += chunk.n_rows
 
         record = self._record_header(stream, n_rows, len(accumulators))
         if not accumulators:
@@ -172,6 +169,7 @@ class StreamingAnnotator:
             token_cap=self._token_cap,
             sample_rows=self.sample_rows,
         )
+        n_rows = 0
         for chunk in stream.chunks:
             if chunk.n_columns != sketcher.n_columns:
                 raise IngestError(
@@ -180,8 +178,9 @@ class StreamingAnnotator:
                     source=stream.metadata.get("source"),
                 )
             sketcher.feed(chunk)
+            n_rows += chunk.n_rows
 
-        record = self._record_header(stream, sketcher.n_rows, stream.n_columns)
+        record = self._record_header(stream, n_rows, stream.n_columns)
         if not stream.n_columns:
             return record
 
@@ -213,12 +212,7 @@ class StreamingAnnotator:
                     store.put(
                         column_section,
                         fingerprint,
-                        sketchstore.column_sketch(
-                            self.featurizer,
-                            accumulator,
-                            sketcher.n_rows,
-                            row=row,
-                        ),
+                        sketchstore.column_sketch(tokens, row),
                     )
             raw_rows.append(row)
             column_tokens.append(tokens)

@@ -153,9 +153,15 @@ class LatentDirichletAllocation:
             topic_token[old_topic, token] -= 1
             topic_totals[old_topic] -= 1
 
+            denominator = topic_totals + beta_sum
+            if not beta_sum:
+                # Only under beta = 0 can a denominator be 0: a topic without
+                # tokens has 0 / 0, and as in inference it explains nothing.
+                # (Guarding every step would slow each token of the fit.)
+                denominator = np.where(denominator > 0, denominator, 1.0)
             weights = (
                 (topic_token[:, token] + self.beta)
-                / (topic_totals + beta_sum)
+                / denominator
                 * (doc_topic_row + self.alpha)
             )
             weights_sum = weights.sum()

@@ -17,6 +17,14 @@ from repro.corpus import CorpusConfig, CorpusGenerator
 from helpers import make_tiny_model, tiny_featurizer
 
 
+def pytest_configure(config):
+    # A RuntimeWarning (NumPy's 0 / 0, an overflow) means the program
+    # computed with a value it did not mean to: fail the test that raised
+    # it.  Only runs collecting tests/ load this file, so benchmark runs
+    # keep pytest's default warning handling.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(123)

@@ -95,6 +95,25 @@ class TestRoundTrip:
         for a, b in zip(whole.columns, tiny.columns):
             assert tuple(a.values) == tuple(b.values)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("name", ROUND_TRIP_ADAPTERS)
+    def test_chunks_arrive_in_row_order(self, name, chunk_rows, tmp_path):
+        """Each chunk starts where the earlier ones end, from row 0.
+
+        The streaming accumulators grow each column's token prefix in
+        chunk order, so they rely on this.
+        """
+        adapter = registered_adapters()[name]
+        path = adapter.write_fixture(
+            tricky_table(), tmp_path / f"fixture{SUFFIX_FOR[name]}"
+        )
+        stream = next(iter(adapter.streams(path, chunk_rows=chunk_rows)))
+        next_row = 0
+        for chunk in stream.chunks:
+            assert chunk.start_row == next_row
+            next_row += chunk.n_rows
+        assert next_row == tricky_table().n_rows
+
 
 class TestCsv:
     def test_bom_is_stripped_from_first_header(self, tmp_path):

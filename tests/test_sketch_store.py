@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.features import CharAccumulator, StatAccumulator, sketchstore
+from repro.features import sketchstore
 from repro.features.sketchstore import SketchStore, SketchStoreWarning, StreamSketcher
 from repro.ingest.annotate import StreamingAnnotator
 from repro.serving import Predictor, save_model
@@ -282,9 +282,7 @@ class TestStreamSketcher:
         accumulators = []
         for column in columns:
             accumulator = featurizer.column_accumulator()
-            accumulator.partial_fit(
-                column.values, start_row=0, row_span=len(column.values)
-            )
+            accumulator.partial_fit(column.values)
             accumulators.append(accumulator)
         return featurizer.finalize_columns(accumulators)
 
@@ -346,22 +344,19 @@ class TestSketchCoding:
     def test_column_sketch_rebuilds_the_accumulator(
         self, fitted_featurizer, multi_column_tables
     ):
+        """A sketch gives back the accumulator's token prefix and raw row."""
         column = multi_column_tables[0].columns[0]
         accumulator = fitted_featurizer.column_accumulator()
-        accumulator.partial_fit(column.values, start_row=0, row_span=len(column.values))
-        sketch = sketchstore.column_sketch(
-            fitted_featurizer, accumulator, len(column.values)
-        )
+        accumulator.partial_fit(column.values)
+        row = fitted_featurizer.raw_from_accumulator(accumulator)
+        sketch = sketchstore.column_sketch(accumulator.token_list(), row)
         # JSON round trip, exactly as the store would persist it.
         sketch = json.loads(json.dumps(sketch))
+        assert sorted(sketch) == ["row", "tokens"]
         assert sketchstore.sketch_tokens(sketch) == accumulator.token_list()
-        char = CharAccumulator.from_state(sketch["char"])
-        stat = StatAccumulator.from_state(sketch["stat"])
-        np.testing.assert_array_equal(char.finalize(), accumulator.char.finalize())
-        np.testing.assert_array_equal(stat.finalize(), accumulator.stat.finalize())
         np.testing.assert_array_equal(
             sketchstore.sketch_vector(sketch, "row", fitted_featurizer.n_features),
-            fitted_featurizer.raw_from_accumulator(accumulator),
+            row,
         )
 
     def test_malformed_sketches_degrade_to_none(self, fitted_featurizer):
@@ -489,6 +484,56 @@ class TestAnnotateParity:
         assert stats["misses"] == 0
         warm_annotator.close()
         assert json.dumps(warm) == json.dumps(cold)
+
+    def test_column_sketches_with_accumulator_states_still_hit(
+        self, trained_sato, serving_split, tmp_path
+    ):
+        """Column sketches in the older format-2 layout keep hitting.
+
+        That layout also stored the table's row count (``n``) and each
+        column's char and stat accumulator states next to the token prefix
+        and the raw row.  Readers use only the latter two, so such a store
+        serves every column, and its records equal a store-off run's.
+        """
+        _, tables = serving_split
+        oracle = annotate_all(StreamingAnnotator(trained_sato), tables, 3)
+
+        root = tmp_path / "store"
+        writer = StreamingAnnotator(trained_sato, sketch_store=root)
+        _, column_section, _ = writer._sections()
+        n_columns = 0
+        for table in tables:
+            for column in table.columns:
+                accumulator = writer.featurizer.column_accumulator(writer._token_cap)
+                accumulator.partial_fit(column.values)
+                char, stat = accumulator.char, accumulator.stat
+                row = writer.featurizer.raw_from_accumulator(accumulator)
+                sketch = {
+                    "n": table.n_rows,
+                    "tokens": accumulator.token_list(),
+                    "char": {
+                        **{name: getattr(char, name) for name in char.__slots__},
+                        "lengths": {str(k): v for k, v in char.lengths.items()},
+                    },
+                    "stat": {
+                        "n_values": stat.n_values,
+                        "n_missing": stat.n_missing,
+                        "counter": dict(stat.counter),
+                    },
+                    "row": sketchstore.pack_vector(row),
+                }
+                writer.sketch_store.put(column_section, column.fingerprint, sketch)
+                n_columns += 1
+        writer.close()
+
+        reader = StreamingAnnotator(trained_sato, sketch_store=root)
+        got = annotate_all(reader, tables, 3)
+        stats = reader.sketch_store.stats()
+        reader.close()
+        # Every column hits; only records and topic vectors miss.
+        assert n_columns > 0
+        assert stats["hits"] == n_columns
+        assert json.dumps(got) == json.dumps(oracle)
 
     def test_corrupt_store_recomputes_with_warning(
         self, trained_sato, serving_split, tmp_path

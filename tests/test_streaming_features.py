@@ -2,23 +2,21 @@
 
 The streaming path (``fit_stream`` / ``transform_stream`` /
 ``finalize_columns``) must be *bit-identical* to the in-memory full-scan
-loop oracle — not merely close.  The accumulators hold exact sufficient
-statistics (integer counts, token prefixes by row position) and all
-float-weighted reductions go through ``math.fsum``, so equality holds for
-every chunking and every merge order.  These tests enforce that contract
-over all shipped corpus-spec hard-case suites at chunk sizes
-{1, 7, 1000, whole-table}.
+loop oracle — not merely close.  Chunks arrive in row order; the
+accumulators hold exact sufficient statistics (integer counts) plus the
+token prefix grown in that order, and all float-weighted reductions go
+through ``math.fsum``, so equality holds for every chunk size.  These
+tests enforce that contract over all shipped corpus-spec hard-case
+suites at chunk sizes {1, 7, 1000, whole-table}.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
 
 from repro.corpus.suites import available_suites, build_suite
-from repro.features import ColumnAccumulator, TokenAccumulator
+from repro.features import ColumnAccumulator
 from repro.tables import (
     Column,
     Table,
@@ -113,48 +111,6 @@ class TestTransformStreamParity:
             getattr(featurizer, method)(argument)
 
 
-class TestMergeOrderInvariance:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_shuffled_merge_is_bit_identical(self, seed, fitted_featurizer):
-        rng = random.Random(seed)
-        for table in _suite_tables("dirty_columns", limit=4):
-            oracle = loop_oracle(fitted_featurizer, table)
-            chunks = list(table.iter_chunks(3))
-            merged_columns = []
-            for j in range(table.n_columns):
-                parts = []
-                for chunk in chunks:
-                    accumulator = fitted_featurizer.column_accumulator()
-                    accumulator.partial_fit(
-                        chunk.columns[j],
-                        start_row=chunk.start_row,
-                        row_span=chunk.n_rows,
-                    )
-                    parts.append(accumulator)
-                rng.shuffle(parts)
-                merged = parts[0]
-                for other in parts[1:]:
-                    merged.merge(other)
-                merged_columns.append(merged)
-            streamed = fitted_featurizer.finalize_columns(merged_columns)
-            np.testing.assert_array_equal(streamed, oracle)
-
-    def test_merge_preserves_token_prefix_order(self):
-        """Row position, not merge order, decides the capped token prefix."""
-        values = [f"tok{i}" for i in range(10)]
-        forward = TokenAccumulator(max_tokens=6)
-        forward.partial_fit(values)
-        shuffled = TokenAccumulator(max_tokens=6)
-        for start in (8, 4, 0, 6, 2):
-            shuffled.merge(
-                TokenAccumulator(max_tokens=6).partial_fit(
-                    values[start : start + 2], start_row=start
-                )
-            )
-        assert shuffled.tokens() == forward.tokens()
-        assert len(shuffled.tokens()) == 6
-
-
 class TestFitStreamParity:
     @pytest.mark.parametrize("chunk_rows", (1, 7, None))
     def test_fit_stream_state_bit_identical_to_fit(self, chunk_rows):
@@ -182,31 +138,9 @@ class TestFitStreamParity:
 
 class TestAccumulatorUnits:
     def test_token_accumulator_cap(self):
-        accumulator = TokenAccumulator(max_tokens=3)
-        accumulator.partial_fit(["a b", "c d", "e f"])
-        assert accumulator.tokens() == ["a", "b", "c"]
-
-    def test_token_accumulator_overlap_raises(self):
-        accumulator = TokenAccumulator(max_tokens=10)
-        accumulator.partial_fit(["a", "b"], start_row=0)
-        with pytest.raises(ValueError):
-            accumulator.partial_fit(["c"], start_row=1)
-
-    def test_token_accumulator_row_span_shorter_than_values_raises(self):
-        accumulator = TokenAccumulator(max_tokens=10)
-        with pytest.raises(ValueError):
-            accumulator.partial_fit(["a", "b", "c"], start_row=0, row_span=2)
-
-    def test_token_accumulator_ragged_row_span(self):
-        """A short column inside a wider chunk still lines up by row."""
-        accumulator = TokenAccumulator(max_tokens=10)
-        accumulator.partial_fit(["a"], start_row=0, row_span=4)
-        accumulator.partial_fit(["b"], start_row=4, row_span=4)
-        assert accumulator.tokens() == ["a", "b"]
-
-    def test_token_accumulator_merge_cap_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            TokenAccumulator(max_tokens=3).merge(TokenAccumulator(max_tokens=4))
+        accumulator = ColumnAccumulator(max_tokens=3)
+        accumulator.partial_fit(["a b", "c d"]).partial_fit(["e f"])
+        assert accumulator.token_list() == ["a", "b", "c"]
 
     def test_column_accumulator_matches_whole_column(self, fitted_featurizer):
         values = ["Oslo", "", "  ", "Bergen 42", "café", "$1,200.50"]
@@ -214,7 +148,7 @@ class TestAccumulatorUnits:
         whole.partial_fit(values)
         piecewise = ColumnAccumulator(max_tokens=64)
         for start in range(0, len(values), 2):
-            piecewise.partial_fit(values[start : start + 2], start_row=start)
+            piecewise.partial_fit(values[start : start + 2])
         np.testing.assert_array_equal(
             fitted_featurizer._raw_from_accumulator(piecewise),
             fitted_featurizer._raw_from_accumulator(whole),
