@@ -3,8 +3,10 @@
 Generates a CSV with a *bounded distinct-value domain* (accumulator state
 is O(distinct values), not O(rows)), then ingests it through the real
 streaming path — ``repro.ingest`` adapters folding chunks into
-``ColumnAccumulator``s — in a child process that reports rows/sec and its
-own peak RSS (``resource.getrusage``).  Two runs, 10k rows vs 100k rows:
+``ColumnAccumulator``s, then each finished accumulator's Char and Stat
+vectors (``ColumnAccumulator.finalize``, where that work happens) — in a
+child process that reports rows/sec and its own peak RSS
+(``resource.getrusage``).  Two runs, 10k rows vs 100k rows:
 peak RSS must be essentially independent of row count, which is the whole
 point of the chunked-table core.  Results land in
 ``benchmarks/results/ingest.json`` (CI's ``ingest-throughput`` artifact);
@@ -36,7 +38,8 @@ MAX_RSS_RATIO = 1.30
 
 #: Runs inside a fresh interpreter so ``ru_maxrss`` measures only this
 #: workload: ingest the CSV, fold every chunk into column accumulators,
-#: report throughput and peak RSS as one JSON line.
+#: compute each column's Char and Stat vectors, report throughput and
+#: peak RSS as one JSON line.
 _CHILD = """
 import json, resource, sys, time
 from repro.features import ColumnAccumulator
@@ -53,6 +56,8 @@ for stream in open_source(path, chunk_rows):
         for accumulator, values in zip(accumulators, chunk.columns):
             accumulator.partial_fit(values)
         rows += chunk.n_rows
+    for accumulator in accumulators:
+        accumulator.finalize()
 elapsed = time.perf_counter() - start
 print(json.dumps({
     "rows": rows,

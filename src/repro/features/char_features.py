@@ -7,12 +7,16 @@ of its occurrences across the column's values, plus a handful of shape
 statistics.  The result is a fixed-length vector independent of the number
 of rows.
 
-The implementation is an accumulator (:class:`CharAccumulator`) holding
-*exact* sufficient statistics — integer occurrence/presence counts and a
-length histogram — so a column fed in chunks of any size finalizes to the
-exact same bits as a single full scan.  :func:`char_features` is the
-full-scan spelling: one accumulator, one ``partial_fit``, one
-``finalize``.
+:class:`CharAccumulator` is the reference: a per-value, per-character
+Python loop into *exact* sufficient statistics — integer
+occurrence/presence counts, character-class counts and a length
+histogram — and :meth:`CharAccumulator.finalize`, the one spelling of the
+Char formulas.  :func:`char_features` feeds it a whole column.  The
+streaming path reaches the same integer state another way:
+:meth:`~repro.features.accumulators.ColumnAccumulator.finalize` counts a
+column's distinct values in one weighted NumPy codepoint pass, fills a
+:class:`CharAccumulator` with the totals and finalizes it, so its vector
+is this module's bit for bit.
 """
 
 from __future__ import annotations

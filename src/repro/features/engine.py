@@ -6,8 +6,10 @@ cost.  This module replaces those per-value loops with NumPy array
 operations over *all* columns of a batch at once:
 
 * one codepoint pass — every value of every column is joined, decoded to a
-  flat ``uint32`` codepoint array, and classified through a lazily grown
-  per-codepoint property table (exact ``str`` method semantics, cached),
+  flat ``uint32`` codepoint array, and classified through the lazily grown
+  per-codepoint property table of :mod:`repro.features.codepoints` (exact
+  ``str`` method semantics, cached), which the streaming accumulators'
+  counted pass shares,
 * batched character features — per-(value, char) counts via ``bincount`` on
   composite keys instead of nested Python loops,
 * batched statistics — segment reductions (``bincount`` with weights, one
@@ -36,10 +38,16 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.embeddings.tokenizer import TOKEN_RE, number_shape_token
-from repro.features.char_features import (
-    CHAR_FEATURE_NAMES,
-    CHAR_VOCABULARY,
-    _CHAR_INDEX,
+from repro.features.char_features import CHAR_FEATURE_NAMES, CHAR_VOCABULARY
+from repro.features.codepoints import (
+    _CLASS_ALPHA,
+    _CLASS_DIGIT,
+    _CLASS_PUNCT,
+    _CLASS_SPACE,
+    _FLAG_UPPER,
+    _PROPS,
+    decode,
+    value_facts,
 )
 from repro.features.stats_features import STAT_FEATURE_NAMES, _try_parse_number
 from repro.obs import span
@@ -56,90 +64,6 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Codepoint property table
-# --------------------------------------------------------------------------
-
-_N_ASCII = 128
-_UNICODE_SIZE = 0x110000
-
-_CLASS_ALPHA, _CLASS_DIGIT, _CLASS_SPACE, _CLASS_PUNCT = 0, 1, 2, 3
-_CLASS_UNSET = 255
-
-_FLAG_UPPER = 1  # char.isupper()
-_FLAG_DIGIT = 2  # char.isdigit()
-_FLAG_ALPHA = 4  # char.isalpha()
-_FLAG_SPACE = 8  # char.isspace() (== str.strip() / str.split() whitespace)
-_FLAG_CASED = 16  # char.islower() or char.isupper() or char.istitle()
-
-
-class _CharPropertyTable:
-    """Per-codepoint character properties with exact ``str`` semantics.
-
-    ASCII is filled eagerly; other codepoints are computed lazily (via the
-    Python ``str`` methods themselves, so parity with the reference loop is
-    exact) the first time they appear in a batch, then cached for the life
-    of the process.
-    """
-
-    def __init__(self) -> None:
-        self.vocab_index = np.full(_N_ASCII, -1, dtype=np.int32)
-        self.class_id = np.full(_N_ASCII, _CLASS_UNSET, dtype=np.uint8)
-        self.flags = np.zeros(_N_ASCII, dtype=np.uint8)
-        self._fill(range(_N_ASCII))
-
-    def _fill(self, codepoints) -> None:
-        for code in codepoints:
-            char = chr(int(code))
-            lowered = char.lower()
-            if lowered.isalpha():
-                class_id = _CLASS_ALPHA
-            elif lowered.isdigit():
-                class_id = _CLASS_DIGIT
-            elif lowered.isspace():
-                class_id = _CLASS_SPACE
-            else:
-                class_id = _CLASS_PUNCT
-            flags = 0
-            if char.isupper():
-                flags |= _FLAG_UPPER
-            if char.isdigit():
-                flags |= _FLAG_DIGIT
-            if char.isalpha():
-                flags |= _FLAG_ALPHA
-            if char.isspace():
-                flags |= _FLAG_SPACE
-            if char.islower() or char.isupper() or char.istitle():
-                flags |= _FLAG_CASED
-            self.vocab_index[code] = _CHAR_INDEX.get(lowered, -1)
-            self.class_id[code] = class_id
-            self.flags[code] = flags
-
-    def _grow(self) -> None:
-        if len(self.class_id) >= _UNICODE_SIZE:
-            return
-        vocab_index = np.full(_UNICODE_SIZE, -1, dtype=np.int32)
-        class_id = np.full(_UNICODE_SIZE, _CLASS_UNSET, dtype=np.uint8)
-        flags = np.zeros(_UNICODE_SIZE, dtype=np.uint8)
-        vocab_index[: len(self.vocab_index)] = self.vocab_index
-        class_id[: len(self.class_id)] = self.class_id
-        flags[: len(self.flags)] = self.flags
-        self.vocab_index, self.class_id, self.flags = vocab_index, class_id, flags
-
-    def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vocab index, char class and property flags for a codepoint array."""
-        codes = codes.astype(np.int64, copy=False)
-        if codes.size and int(codes.max()) >= len(self.class_id):
-            self._grow()
-        unset = codes[self.class_id[codes] == _CLASS_UNSET]
-        if unset.size:
-            self._fill(np.unique(unset))
-        return self.vocab_index[codes], self.class_id[codes], self.flags[codes]
-
-
-_PROPS = _CharPropertyTable()
-
-
-# --------------------------------------------------------------------------
 # Flattened value batch
 # --------------------------------------------------------------------------
 
@@ -152,8 +76,6 @@ class _ValueBatch:
     values: list[str]  # every value, column by column, in input order
     value_len: np.ndarray  # (n_values,) characters per value
     col_of_value: np.ndarray  # (n_values,) owning column of each value
-    value_offsets: np.ndarray  # (n_cols + 1,) value index range per column
-    codes: np.ndarray  # (n_chars,) codepoint of every character
     value_ids: np.ndarray  # (n_chars,) owning value of each character
     vocab_index: np.ndarray  # (n_chars,) index into CHAR_VOCABULARY or -1
     class_id: np.ndarray  # (n_chars,) alpha / digit / space / punct
@@ -168,29 +90,15 @@ def _build_batch(value_lists: Sequence[Sequence[str]]) -> _ValueBatch:
         for value in column_values:
             values.append(value)
         counts[j] = len(column_values)
-    n_values = len(values)
-    value_len = np.fromiter((len(v) for v in values), dtype=np.int64, count=n_values)
-    value_offsets = np.concatenate([[0], np.cumsum(counts)])
+    value_len, codes = decode(values)
     col_of_value = np.repeat(np.arange(n_cols), counts)
-    joined = "".join(values)
-    if joined:
-        # surrogatepass: lone surrogates (reachable via JSON corpora) must
-        # featurize like any other codepoint, exactly as the loop oracle's
-        # per-char str methods do — not crash the batch.
-        codes = np.frombuffer(
-            joined.encode("utf-32-le", errors="surrogatepass"), dtype=np.uint32
-        )
-    else:
-        codes = np.empty(0, dtype=np.uint32)
-    value_ids = np.repeat(np.arange(n_values), value_len)
+    value_ids = np.repeat(np.arange(len(values)), value_len)
     vocab_index, class_id, flags = _PROPS.lookup(codes)
     return _ValueBatch(
         n_cols=n_cols,
         values=values,
         value_len=value_len,
         col_of_value=col_of_value,
-        value_offsets=value_offsets,
-        codes=codes,
         value_ids=value_ids,
         vocab_index=vocab_index,
         class_id=class_id,
@@ -404,44 +312,10 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
     n_values_total = len(batch.values)
 
     # ---- per-value facts from the shared codepoint pass
-    n_space = np.bincount(
-        batch.value_ids[(batch.flags & _FLAG_SPACE) > 0], minlength=n_values_total
+    keep, word_counts, contains_digit, contains_alpha, all_upper = value_facts(
+        batch.value_len, batch.value_ids, batch.flags
     )
-    blank = (batch.value_len > 0) & (n_space == batch.value_len)
-    missing = (batch.value_len == 0) | blank
-    keep = ~missing  # the loop oracle's ``v and v.strip()`` selection
-
-    # Word count: runs of non-whitespace characters (== len(v.split())).
-    is_space_char = (batch.flags & _FLAG_SPACE) > 0
-    first_char = np.zeros(len(batch.codes), dtype=bool)
-    starts = np.cumsum(np.concatenate([[0], batch.value_len[:-1]]))
-    first_char[starts[batch.value_len > 0]] = True
-    prev_space = np.concatenate([[True], is_space_char[:-1]])
-    run_start = ~is_space_char & (first_char | prev_space)
-    word_counts = np.bincount(batch.value_ids[run_start], minlength=n_values_total)
-
-    contains_digit = (
-        np.bincount(
-            batch.value_ids[(batch.flags & _FLAG_DIGIT) > 0], minlength=n_values_total
-        )
-        > 0
-    )
-    contains_alpha = (
-        np.bincount(
-            batch.value_ids[(batch.flags & _FLAG_ALPHA) > 0], minlength=n_values_total
-        )
-        > 0
-    )
-    n_cased = np.bincount(
-        batch.value_ids[(batch.flags & _FLAG_CASED) > 0], minlength=n_values_total
-    )
-    n_cased_lower = np.bincount(
-        batch.value_ids[
-            ((batch.flags & _FLAG_CASED) > 0) & ((batch.flags & _FLAG_UPPER) == 0)
-        ],
-        minlength=n_values_total,
-    )
-    all_upper = (n_cased > 0) & (n_cased_lower == 0)  # == str.isupper()
+    missing = ~keep  # the loop oracle's ``not (v and v.strip())`` selection
 
     # ---- per-column counts and fractions
     n_values = np.bincount(batch.col_of_value, minlength=n_cols).astype(np.float64)

@@ -249,15 +249,14 @@ class ColumnFeaturizer:
         """Raw features from accumulated state.
 
         Bit-identical to :meth:`reference_transform_columns`' raw row for
-        the same values: the Char/Stat accumulators ARE the loop
-        implementation, and the token prefix grows in row order to the
+        the same values: the accumulator's Char/Stat vectors equal the
+        loop's bit for bit, and the token prefix grows in row order to the
         exact capped prefix the loop path tokenizes.
         """
         tokens = accumulator.token_list()[: self.max_tokens_per_column]
-        char_vector = accumulator.char.finalize()
+        char_vector, stat_vector = accumulator.finalize()
         word_vector = self.word_model.mean_vector(tokens)
         para_vector = self.paragraph_embedder.embed(tokens)
-        stat_vector = accumulator.stat.finalize()
         return np.concatenate([char_vector, word_vector, para_vector, stat_vector])
 
     def raw_from_accumulator(self, accumulator) -> np.ndarray:

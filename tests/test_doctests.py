@@ -14,6 +14,7 @@ import importlib
 import pytest
 
 import repro.features.accumulators
+import repro.features.codepoints
 import repro.features.engine
 import repro.features.sketchstore
 import repro.features.stats_features
@@ -43,6 +44,7 @@ char_features_module = importlib.import_module("repro.features.char_features")
 DOCUMENTED_MODULES = [
     char_features_module,
     repro.features.accumulators,
+    repro.features.codepoints,
     repro.features.engine,
     repro.features.sketchstore,
     repro.features.stats_features,

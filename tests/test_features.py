@@ -1,5 +1,8 @@
 """Tests for the feature extraction modules."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +10,22 @@ from hypothesis import given, settings, strategies as st
 from repro.features import (
     CHAR_FEATURE_NAMES,
     STAT_FEATURE_NAMES,
+    ColumnAccumulator,
     ColumnFeaturizer,
     StatAccumulator,
     char_features,
     column_statistics,
     stats_features_batch,
+)
+from repro.features.accumulators import _SLICE_VALUES
+from repro.features.codepoints import (
+    _CLASS_ALPHA,
+    _CLASS_PUNCT,
+    _CLASS_UNSET,
+    _FLAG_ALPHA,
+    _FLAG_CASED,
+    _FLAG_UPPER,
+    _CharPropertyTable,
 )
 from repro.tables import Column, Table
 
@@ -21,6 +35,61 @@ HUGE_NUMBER_COLUMNS = [
     ["1e200", "-1e200", "5"],
     ["1.7976931348623157e308", "1.7976931348623157e308"],
 ]
+
+#: Cell pieces at the edges of the Char and Stat definitions: empty and
+#: blank cells (U+3000, U+001C and U+0085 are whitespace to ``str.strip``),
+#: a lone surrogate, case mappings that change a character's length or
+#: class ("İ" lowercases to two code points, "ǅ" is title case), wide and
+#: Arabic-Indic digits, and spellings at the edges of number parsing.
+BOUNDARY_PIECES = [
+    "",
+    " ",
+    "\t",
+    "\u3000",
+    "\x1c",
+    "\x85",
+    "\ud800",
+    "İ",
+    "ǅ",
+    "ß",
+    "２",
+    "١",
+    "1e200",
+    "-0",
+    "nan",
+    "$1,200.50",
+    "a",
+    "Q",
+    "7",
+    "x y",
+]
+
+boundary_values = st.lists(st.sampled_from(BOUNDARY_PIECES), max_size=3).map("".join)
+
+
+@st.composite
+def boundary_columns(draw) -> list[str]:
+    """A column of boundary values, with repeats; sometimes wider than a slice.
+
+    The wide columns hold more distinct values than one slice of the
+    counted pass, each repeated, in shuffled order.
+    """
+    values = draw(st.lists(boundary_values, max_size=40))
+    if draw(st.booleans()):
+        stem = draw(boundary_values)
+        n_distinct = draw(st.integers(_SLICE_VALUES + 1, 2 * _SLICE_VALUES + 7))
+        values += [f"{stem}{i % n_distinct}" for i in range(2 * n_distinct)]
+        draw(st.randoms(use_true_random=False)).shuffle(values)
+    return values
+
+
+def counted_vectors(values: list[str], chunk_rows: int | None):
+    """Char and Stat vectors by the accumulator, fed ``chunk_rows`` at a time."""
+    accumulator = ColumnAccumulator(max_tokens=0)
+    step = chunk_rows or max(1, len(values))
+    for start in range(0, len(values), step):
+        accumulator.partial_fit(values[start : start + step])
+    return accumulator.finalize()
 
 
 class TestCharFeatures:
@@ -104,9 +173,78 @@ class TestStatFeatures:
         loop = column_statistics(values)
         streamed = StatAccumulator().partial_fit(values).finalize()
         batched = stats_features_batch([values])[0]
-        for features in (loop, streamed, batched):
+        _, counted = counted_vectors(values, None)
+        for features in (loop, streamed, batched, counted):
             assert np.all(np.isfinite(features))
         assert np.allclose(streamed, loop) and np.allclose(batched, loop)
+        np.testing.assert_array_equal(counted, loop)
+
+
+class TestCountedPass:
+    """The accumulator's counted pass is the per-value loops, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_columns())
+    def test_equals_the_loops_for_every_chunking(self, values):
+        char = char_features(values)
+        stat = column_statistics(values)
+        for chunk_rows in (1, 7, None):
+            counted_char, counted_stat = counted_vectors(values, chunk_rows)
+            np.testing.assert_array_equal(counted_char, char, err_msg=f"{chunk_rows}")
+            np.testing.assert_array_equal(counted_stat, stat, err_msg=f"{chunk_rows}")
+
+    def test_empty_column_is_zero(self):
+        char, stat = ColumnAccumulator(max_tokens=0).finalize()
+        assert not char.any() and not stat.any()
+        assert char.shape == (len(CHAR_FEATURE_NAMES),)
+        assert stat.shape == (len(STAT_FEATURE_NAMES),)
+
+
+class TestCodepointTable:
+    def test_grows_only_past_the_largest_codepoint_seen(self):
+        table = _CharPropertyTable()
+        table.lookup(np.array([ord("é")], dtype=np.uint32))
+        assert len(table.class_id) <= 512
+        _, class_id, flags = table.lookup(np.array([0x1F600, 0xE9], dtype=np.uint32))
+        assert len(table.class_id) <= 1 << 17
+        # U+1F600 (an emoji) is punctuation to the loop, and uncased.
+        assert class_id.tolist() == [_CLASS_PUNCT, _CLASS_ALPHA]
+        assert flags[0] == 0
+        assert flags[1] == _FLAG_ALPHA | _FLAG_CASED
+        assert not flags[1] & _FLAG_UPPER
+
+    def test_concurrent_growth_loses_no_codepoint(self):
+        """Threads growing one table never see an unclassified codepoint."""
+        failures: list = []
+
+        def worker(table, seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(40):
+                    high = 1 << int(rng.integers(8, 21))
+                    _, class_id, _ = table.lookup(rng.integers(0, high, size=64))
+                    if (class_id == _CLASS_UNSET).any():
+                        failures.append(f"unclassified codepoint (seed {seed})")
+            except Exception as error:  # reported by the assertion below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(10):
+                table = _CharPropertyTable()
+                threads = [
+                    threading.Thread(target=worker, args=(table, 6 * trial + k))
+                    for k in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
 
 
 class TestColumnFeaturizer:

@@ -31,6 +31,25 @@ from repro.tables import (
 )
 
 
+#: The char and stat accumulator states of the older format-2 column
+#: sketch layout, as that layout wrote them for the column ["Oslo", "Rome",
+#: "Rome"]: 51 tracked characters, a length histogram keyed by strings and
+#: the distinct-value counter.
+LEGACY_CHAR_STATE = {
+    "n_values": 3,
+    "counts": [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 4, 0, 0, 2, 1] + [0] * 32,
+    "presence": [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 3, 0, 0, 2, 1] + [0] * 32,
+    "n_alpha": 12,
+    "n_digit": 0,
+    "n_space": 0,
+    "n_punct": 0,
+    "n_upper": 3,
+    "total_chars": 12,
+    "lengths": {"4": 3},
+}
+LEGACY_STAT_STATE = {"n_values": 3, "n_missing": 0, "counter": {"Oslo": 1, "Rome": 2}}
+
+
 @pytest.fixture()
 def store(tmp_path):
     return SketchStore(tmp_path / "store")
@@ -506,20 +525,12 @@ class TestAnnotateParity:
             for column in table.columns:
                 accumulator = writer.featurizer.column_accumulator(writer._token_cap)
                 accumulator.partial_fit(column.values)
-                char, stat = accumulator.char, accumulator.stat
                 row = writer.featurizer.raw_from_accumulator(accumulator)
                 sketch = {
                     "n": table.n_rows,
                     "tokens": accumulator.token_list(),
-                    "char": {
-                        **{name: getattr(char, name) for name in char.__slots__},
-                        "lengths": {str(k): v for k, v in char.lengths.items()},
-                    },
-                    "stat": {
-                        "n_values": stat.n_values,
-                        "n_missing": stat.n_missing,
-                        "counter": dict(stat.counter),
-                    },
+                    "char": LEGACY_CHAR_STATE,
+                    "stat": LEGACY_STAT_STATE,
                     "row": sketchstore.pack_vector(row),
                 }
                 writer.sketch_store.put(column_section, column.fingerprint, sketch)
