@@ -34,11 +34,10 @@ generator or, with ``--spec``, deterministically from a declarative corpus
 spec (``docs/corpus_spec.md``).  ``train`` fits a model variant on a
 corpus and saves it as an artifact bundle, after which ``predict --model``
 loads the bundle and serves per-column predictions for CSV tables without
-retraining.  When ``--model`` is absent, ``predict --corpus`` falls back to
-the legacy retrain-per-call behaviour.  ``serve`` exposes a bundle — or, in
-registry mode, the *promoted version* of a registered model, hot-swapping
-on promotion — over HTTP with micro-batched online inference (see
-``docs/http_api.md`` and ``docs/operations.md``).  ``evaluate`` either
+retraining.  ``serve`` exposes a bundle — or, in registry mode, the
+*promoted version* of a registered model, hot-swapping on promotion —
+over HTTP with micro-batched online inference (see ``docs/http_api.md``
+and ``docs/operations.md``).  ``evaluate`` either
 cross-validates one model variant (legacy), evaluates a saved bundle on a
 held-out corpus with ``--model``, or scores a bundle on shipped hard-case
 suites with ``--suite``.  ``annotate`` bulk-annotates external
@@ -83,7 +82,7 @@ from repro.serving.scheduler import (
     DEFAULT_MAX_QUEUE,
     DEFAULT_MAX_WAIT_MS,
 )
-from repro.tables import table_from_csv, tables_from_jsonl, tables_to_jsonl
+from repro.tables import tables_from_jsonl, tables_to_jsonl
 
 __all__ = ["main", "build_parser"]
 
@@ -168,27 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     predict = subparsers.add_parser("predict", help="predict column types of CSV tables")
-    predict.add_argument(
-        "--model", help="saved model bundle directory (serve without retraining)"
-    )
-    predict.add_argument(
-        "--corpus",
-        help="training corpus JSONL path (legacy fallback: retrains per call)",
-    )
+    predict.add_argument("--model", required=True, help="saved model bundle directory")
     predict.add_argument(
         "--csv", required=True, nargs="+", help="CSV table(s) to annotate"
-    )
-    predict.add_argument(
-        "--variant",
-        choices=MODEL_VARIANTS,
-        default=None,
-        help="variant for the --corpus fallback (default Sato); bundles fix theirs at train time",
-    )
-    predict.add_argument(
-        "--epochs",
-        type=int,
-        default=None,
-        help="epochs for the --corpus fallback (default 15)",
     )
     _add_sketch_arguments(predict)
 
@@ -639,49 +620,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if args.model is None and args.corpus is None:
-        print(
-            "predict requires --model (bundle) or --corpus (retrain fallback)",
-            file=sys.stderr,
-        )
-        return 2
+    from repro.ingest import CsvAdapter, IngestError
+
     if _check_sketch_arguments(args):
         return 2
-    if args.model is not None:
-        if args.corpus is not None:
-            print(
-                "--model and --corpus are mutually exclusive: a bundle is "
-                "already trained, the corpus would be ignored",
-                file=sys.stderr,
-            )
-            return 2
-        if args.variant is not None or args.epochs is not None:
-            print(
-                "--variant/--epochs only apply to the --corpus retrain fallback; "
-                "a bundle's variant is fixed at train time",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            predictor = Predictor.from_bundle(
-                args.model,
-                sketch_store=args.sketch_store,
-                sketch_sample_rows=args.sketch_sample_rows,
-            )
-        except BundleFormatError as error:
-            print(f"cannot load model bundle: {error}", file=sys.stderr)
-            return 2
-    else:
-        variant = "Sato" if args.variant is None else args.variant
-        epochs = 15 if args.epochs is None else args.epochs
-        model = _build_variant(variant, epochs)
-        model.fit(tables_from_jsonl(args.corpus))
-        predictor = Predictor(
-            model,
+    try:
+        # The reader `annotate` uses: one stream per file, read whole.
+        tables = [next(CsvAdapter().streams(path)).materialize() for path in args.csv]
+    except IngestError as error:
+        print(f"predict: {error}", file=sys.stderr)
+        return 2
+    try:
+        predictor = Predictor.from_bundle(
+            args.model,
             sketch_store=args.sketch_store,
             sketch_sample_rows=args.sketch_sample_rows,
         )
-    tables = [table_from_csv(path) for path in args.csv]
+    except BundleFormatError as error:
+        print(f"cannot load model bundle: {error}", file=sys.stderr)
+        return 2
     predictions = predictor.predict_tables(tables)
     predictor.close()
     for path, table, labels in zip(args.csv, tables, predictions):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ingest.base import DEFAULT_CHUNK_ROWS, IngestError, open_source
+from repro.ingest.base import IngestError
 from repro.tables import TableStream, combine_fingerprints
 from repro.types import TYPE_TO_INDEX
 
@@ -288,13 +288,3 @@ class StreamingAnnotator:
                 }
             )
         return record
-
-    def annotate_source(
-        self,
-        path,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        format: str | None = None,
-    ):
-        """Yield one record per table stream under a file or directory."""
-        for stream in open_source(path, chunk_rows, format):
-            yield self.annotate_stream(stream)

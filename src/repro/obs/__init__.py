@@ -26,7 +26,6 @@ from repro.obs.trace import (
     get_tracer,
     new_span_id,
     new_trace_id,
-    observe,
     set_enabled,
     span,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "get_tracer",
     "new_span_id",
     "new_trace_id",
-    "observe",
     "profile_predictor",
     "render_flame",
     "render_prometheus",

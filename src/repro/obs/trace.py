@@ -23,7 +23,7 @@ only and built for an always-on deployment:
   :meth:`Tracer.adopt`, so one trace covers the whole fleet round-trip.
 
 Most call sites use the module-level helpers (:func:`span`,
-:func:`observe`, :func:`get_tracer`) bound to one process-wide tracer:
+:func:`get_tracer`) bound to one process-wide tracer:
 instrumented layers deep inside the featurizer or the CRF never need a
 tracer handle plumbed through their signatures.
 """
@@ -47,7 +47,6 @@ __all__ = [
     "get_tracer",
     "new_span_id",
     "new_trace_id",
-    "observe",
     "set_enabled",
     "span",
 ]
@@ -332,16 +331,6 @@ class Tracer:
             _CURRENT.reset(token)
             self.record(handle)
 
-    def observe(self, name: str, seconds: float) -> None:
-        """Record a stage duration measured outside a live span.
-
-        Queue waits are the canonical case: the wait starts on the event
-        loop and ends on the dispatch thread, so there is no single block
-        to wrap — the scheduler measures the gap and reports it here.
-        """
-        if self.enabled:
-            self.stages.observe(name, seconds)
-
     def record(self, span: Span) -> None:
         """Add one finished span to the buffer and the stage aggregates."""
         with self._lock:
@@ -414,11 +403,6 @@ def get_tracer() -> Tracer:
 def span(name: str, worker: str | None = None, **meta):
     """Open a span on the process-wide tracer (see :meth:`Tracer.span`)."""
     return _GLOBAL.span(name, worker=worker, **meta)
-
-
-def observe(name: str, seconds: float) -> None:
-    """Record a measured duration on the process-wide tracer."""
-    _GLOBAL.observe(name, seconds)
 
 
 def set_enabled(enabled: bool) -> None:

@@ -184,14 +184,7 @@ def _read_manifest(path: Path) -> dict:
 def _build_column_model(column_config: dict) -> SherlockModel:
     """Rebuild an unfitted column model from its ``config_dict``."""
     training = TrainingConfig(**column_config["training"])
-    featurizer_config = dict(column_config["featurizer"])
-    # Retired runtime settings that older bundles still carry: ``"workers"``
-    # (the featurizer's process pool) and ``"backend"`` (the choice of the
-    # per-value loop or the engine).  Neither is fitted state, so both are
-    # dropped.
-    featurizer_config.pop("workers", None)
-    featurizer_config.pop("backend", None)
-    featurizer = ColumnFeaturizer(**featurizer_config)
+    featurizer = ColumnFeaturizer(**column_config["featurizer"])
     model_type = column_config.get("type")
     if model_type == "TopicAwareModel":
         intent_config = column_config["intent"]
@@ -239,17 +232,22 @@ def load_model_from_state(path: str | Path, state: dict[str, np.ndarray]) -> Sat
     ``.npz`` contents (:func:`read_state`) or zero-copy views into a
     shared-memory store (:class:`repro.serving.shm.SharedTensorStore`).
     The same manifest checks run either way, so a shared-memory load is
-    validated exactly like the classic path.
+    validated exactly like the classic path.  A config tree that lacks a
+    key the constructors need, or carries one they do not take, raises
+    :class:`BundleFormatError` naming the key.
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    model_config = manifest["model"]
-
-    sato_raw = dict(model_config["sato"])
-    training = TrainingConfig(**sato_raw.pop("training"))
-    sato_config = SatoConfig(training=training, **sato_raw)
-
-    column_model = _build_column_model(model_config["column_model"])
+    try:
+        model_config = manifest["model"]
+        sato_raw = dict(model_config["sato"])
+        training = TrainingConfig(**sato_raw.pop("training"))
+        sato_config = SatoConfig(training=training, **sato_raw)
+        column_model = _build_column_model(model_config["column_model"])
+    except KeyError as error:
+        raise BundleFormatError(f"manifest lacks the config key {error}") from error
+    except TypeError as error:
+        raise BundleFormatError(f"manifest config does not fit: {error}") from error
     model = SatoModel(config=sato_config, column_model=column_model)
 
     expected_keys = manifest.get("tensor_keys")

@@ -33,7 +33,7 @@ The fleet quacks like both halves of the single-process serving stack:
 it has the :class:`~repro.serving.Predictor` identity surface
 (``model_version`` / ``fingerprint`` / ``swap_count`` / ``close``) *and*
 the :class:`~repro.serving.scheduler.MicroBatcher` scheduling surface
-(``start`` / ``submit_versioned`` / ``drain`` / ``pending``), so
+(``start`` / ``submit_traced`` / ``drain`` / ``pending``), so
 :class:`~repro.serving.server.ServingServer` serves a fleet by being
 handed one object as both ``predictor`` and ``batcher``.
 """
@@ -64,7 +64,6 @@ from repro.serving.scheduler import (
     DrainingError,
     QueueFullError,
     ServingMetrics,
-    _latency_summary,
     _Pending,
     dispatch_batch,
 )
@@ -294,8 +293,6 @@ class _WorkerRuntime:
                         {
                             "pid": os.getpid(),
                             "metrics": self.metrics.snapshot(),
-                            "latencies": self.metrics.latencies(),
-                            "queue_waits": self.metrics.queue_waits(),
                             "stages": get_tracer().stages.snapshot(),
                             "cache": self.predictor.cache_info(),
                             "predictor": self.predictor.predict_info(),
@@ -585,7 +582,7 @@ class ServingFleet:
             cache_size=self.cache_size,
             max_batch_size=self.max_batch_size,
             max_wait_ms=self.max_wait_ms,
-            metrics_window=self.metrics._latencies.maxlen or 1024,
+            metrics_window=self.metrics.window,
         )
 
     def _spawn_worker(self, wid: int) -> _WorkerHandle:
@@ -675,17 +672,13 @@ class ServingFleet:
         tagged ``wid:pid`` — a respawned worker shows its new pid — and the
         worker-measured queue wait (both endpoints on the worker's own
         monotonic clock; cross-process clock deltas never enter a metric)
-        feeds the front end's queue-wait window and stage aggregates.
+        feeds the front end's queue-wait window.
         """
         labels, version, info = payload
-        tracer = get_tracer()
         wire_spans = info.pop("spans", None)
         if wire_spans:
-            tracer.adopt(wire_spans, worker=f"{handle.wid}:{handle.pid}")
-        wait = info.get("queue_wait")
-        if wait is not None:
-            self.metrics.record_queue_wait(wait)
-            tracer.observe("queue.wait", wait)
+            get_tracer().adopt(wire_spans, worker=f"{handle.wid}:{handle.pid}")
+        self.metrics.record_queue_wait(info["queue_wait"])
         return (labels, version, info)
 
     def _on_worker_exit(self, handle: _WorkerHandle) -> None:
@@ -808,19 +801,12 @@ class ServingFleet:
             return future
         raise FleetError("no live workers in the fleet")
 
-    async def submit_versioned(self, table: Table) -> tuple[list[str], str | None]:
-        """Serve one table; resolves to ``(labels, model_version)``.
+    async def submit_traced(self, table: Table) -> tuple[list[str], str | None, dict]:
+        """Serve one table; resolves to ``(labels, version, info)``.
 
         The version is the tag of the model that served the request's
         batch on its worker (captured under that worker's swap lock), so
         responses stay honestly attributed during a rolling promote.
-        """
-        labels, version, _info = await self.submit_traced(table)
-        return labels, version
-
-    async def submit_traced(self, table: Table) -> tuple[list[str], str | None, dict]:
-        """Serve one table; resolves to ``(labels, version, info)``.
-
         ``info`` mirrors :meth:`MicroBatcher.submit_traced`: the worker's
         batch size and the worker-side ``queue_wait`` in seconds (any
         shipped trace spans have already been folded into the front-end
@@ -831,7 +817,7 @@ class ServingFleet:
 
     async def submit(self, table: Table) -> list[str]:
         """Serve one table; resolves to its per-column labels."""
-        labels, _version = await self.submit_versioned(table)
+        labels, _version, _info = await self.submit_traced(table)
         return labels
 
     async def submit_many_versioned(
@@ -988,11 +974,12 @@ class ServingFleet:
     # ------------------------------------------------------------ observability
 
     async def fleet_metrics(self) -> dict:
-        """Aggregate worker metrics: per-worker snapshots + fleet percentiles.
+        """Aggregate worker metrics: per-worker snapshots + fleet totals.
 
-        Worker latency windows are merged *raw* (not averaged), so the
-        reported p50/p95/p99 are true fleet-wide percentiles over the
-        union of recent requests, not a mean of per-worker percentiles.
+        Fleet-wide latency and queue-wait percentiles need no merge: the
+        front end's own :class:`ServingMetrics` already records every reply
+        (``latency_ms`` as the front end measured it, ``queue_wait_ms`` as
+        its worker did).  Each worker's own windows stay in its snapshot.
         """
         live = self._live_handles()
         replies = await asyncio.gather(
@@ -1000,8 +987,6 @@ class ServingFleet:
             return_exceptions=True,
         )
         workers = []
-        merged: list[float] = []
-        merged_waits: list[float] = []
         total_columns = 0
         total_batches = 0
         for handle, reply in zip(live, replies):
@@ -1009,8 +994,6 @@ class ServingFleet:
                 workers.append({"worker": handle.wid, "error": str(reply)})
                 continue
             snapshot = reply["metrics"]
-            merged.extend(reply["latencies"])
-            merged_waits.extend(reply.get("queue_waits", []))
             total_columns += snapshot["columns"]["served"]
             total_batches += snapshot["batches"]["count"]
             workers.append(
@@ -1042,8 +1025,6 @@ class ServingFleet:
                 "fingerprint": self._fingerprint,
                 "swap_count": self._swap_count,
             },
-            "latency_ms": _latency_summary(sorted(merged)),
-            "queue_wait_ms": _latency_summary(sorted(merged_waits)),
             "columns_served": total_columns,
             "batches": total_batches,
             "workers": workers,

@@ -192,22 +192,6 @@ class ServingMetrics:
 
     # ------------------------------------------------------------- reporting
 
-    def latencies(self) -> list[float]:
-        """The raw latency window in seconds (arrival order, oldest first).
-
-        A fleet front-end merges the windows of every worker before
-        computing percentiles, so aggregated p50/p95/p99 are true fleet
-        percentiles rather than an average of per-worker ones.
-        """
-        with self._lock:
-            return list(self._latencies)
-
-    def queue_waits(self) -> list[float]:
-        """The raw queue-wait window in seconds (merged fleet-wide, like
-        :meth:`latencies`)."""
-        with self._lock:
-            return list(self._queue_waits)
-
     def snapshot(self) -> dict:
         """One JSON-friendly dictionary of every tracked number."""
         with self._lock:
@@ -282,7 +266,6 @@ def dispatch_batch(
     waits = [started - pending.enqueued_at for pending in batch]
     for wait in waits:
         metrics.record_queue_wait(wait)
-        tracer.observe("queue.wait", wait)
     anchor = next(
         (pending.context for pending in batch if pending.context is not None), None
     )
@@ -502,27 +485,20 @@ class MicroBatcher:
         Raises :class:`DrainingError` during shutdown and
         :class:`QueueFullError` when the pending queue is at its bound.
         """
-        labels, _version = await self.submit_versioned(table)
+        labels, _version, _info = await self.submit_traced(table)
         return labels
-
-    async def submit_versioned(self, table: Table) -> tuple[list[str], str | None]:
-        """Submit one table; resolves to ``(labels, model_version)``.
-
-        ``model_version`` is the version tag of the model that actually
-        served this request's batch (``predictor.last_batch_version``, set
-        under the predictor's swap lock), or None for predictors without
-        versioning.  During a hot swap this is how a response can honestly
-        say which model produced it.
-        """
-        labels, version, _info = await self.submit_traced(table)
-        return labels, version
 
     async def submit_traced(self, table: Table) -> tuple[list[str], str | None, dict]:
         """Submit one table; resolves to ``(labels, version, info)``.
 
-        ``info`` carries per-request observability detail the HTTP layer
-        logs and exposes: the size of the batch that served the request and
-        its admission-to-dispatch ``queue_wait`` in seconds.
+        ``version`` is the version tag of the model that actually served
+        this request's batch (``predictor.last_batch_version``, set under
+        the predictor's swap lock), or None for predictors without
+        versioning.  During a hot swap this is how a response can honestly
+        say which model produced it.  ``info`` carries per-request
+        observability detail the HTTP layer logs and exposes: the size of
+        the batch that served the request and its admission-to-dispatch
+        ``queue_wait`` in seconds.
         """
         self._admit(1)
         return await self._enqueue(table)

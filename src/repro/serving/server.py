@@ -221,13 +221,13 @@ class ServingServer:
     batcher:
         Optional pre-built scheduler to serve through instead of the
         default :class:`~repro.serving.scheduler.MicroBatcher` — anything
-        with the same ``start``/``submit_versioned``/``drain``/``pending``
-        surface.  This is how a :class:`~repro.serving.fleet.ServingFleet`
-        plugs in: the fleet is passed as *both* ``predictor`` (model
-        identity, hot-swap facade) and ``batcher`` (request scheduling
-        across worker processes).  An injected batcher brings its own
-        ``metrics``; reloads are delegated to its
-        ``promote_version``/``reload_bundle`` when it has them, and
+        with the same ``start``/``submit_traced``/``submit_many_versioned``/
+        ``drain``/``pending`` surface.  This is how a
+        :class:`~repro.serving.fleet.ServingFleet` plugs in: the fleet is
+        passed as *both* ``predictor`` (model identity, hot-swap facade)
+        and ``batcher`` (request scheduling across worker processes).  An
+        injected batcher brings its own ``metrics``; reloads are delegated
+        to its ``promote_version``/``reload_bundle`` when it has them, and
         ``/healthz`` + ``/metrics`` pick up its ``health()`` and
         ``fleet_metrics()`` when present.
     """
@@ -721,18 +721,6 @@ class ServingServer:
         except Exception:
             pass  # a broken shadow must never affect the serving path
 
-    async def _submit_traced(self, table: Table) -> tuple[list[str], str | None, dict]:
-        """Submit through the batcher, preferring its traced surface.
-
-        Custom batchers without ``submit_traced`` still work; they simply
-        contribute no per-request observability info.
-        """
-        submit = getattr(self.batcher, "submit_traced", None)
-        if submit is not None:
-            return await submit(table)
-        labels, version = await self.batcher.submit_versioned(table)
-        return labels, version, {}
-
     async def _predict(self, body: bytes):
         if self._draining:
             self.metrics.record_rejected_draining()
@@ -744,7 +732,7 @@ class ServingServer:
             self.metrics.record_malformed()
             return 400, {"error": str(error)}, {}, {"outcome": "malformed"}
         try:
-            labels, version, info = await self._submit_traced(table)
+            labels, version, info = await self.batcher.submit_traced(table)
         except QueueFullError as error:
             return 429, {"error": str(error)}, {}, {"outcome": "queue_full"}
         except DrainingError as error:
@@ -759,10 +747,8 @@ class ServingServer:
             "outcome": "ok",
             "model_version": version,
             "n_columns": table.n_columns,
-            "batch_size": info.get("batch_size"),
-            "queue_wait_ms": (
-                info["queue_wait"] * 1e3 if "queue_wait" in info else None
-            ),
+            "batch_size": info["batch_size"],
+            "queue_wait_ms": info["queue_wait"] * 1e3,
         }
         return 200, _table_result(table, labels, version), headers, fields
 

@@ -24,7 +24,6 @@ from repro.tables.chunks import (
     table_stream,
 )
 from repro.tables.io import (
-    table_from_csv,
     table_to_csv,
     tables_from_jsonl,
     tables_to_jsonl,
@@ -41,7 +40,6 @@ __all__ = [
     "iter_table_chunks",
     "stream_tables",
     "table_stream",
-    "table_from_csv",
     "table_to_csv",
     "tables_from_jsonl",
     "tables_to_jsonl",

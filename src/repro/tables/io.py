@@ -1,8 +1,9 @@
 """CSV and JSONL persistence for tables.
 
 JSONL (one table per line) is the corpus interchange format: it is compact,
-streamable and keeps ground-truth labels alongside values.  CSV round-trips a
-single table the way a user would hand one to the model.
+streamable and keeps ground-truth labels alongside values.  CSV writes a
+single table the way a user would hand one to the model; the ingest
+``CsvAdapter`` (:mod:`repro.ingest.csv_source`) reads it back.
 """
 
 from __future__ import annotations
@@ -15,37 +16,11 @@ from typing import Iterable, Iterator
 from repro.tables.table import Table
 
 __all__ = [
-    "table_from_csv",
     "table_to_csv",
     "tables_from_jsonl",
     "tables_to_jsonl",
     "iter_tables_from_jsonl",
 ]
-
-
-def table_from_csv(
-    path: str | Path,
-    has_header: bool = True,
-    table_id: str | None = None,
-) -> Table:
-    """Load a single table from a CSV file.
-
-    Parameters
-    ----------
-    path:
-        CSV file path.
-    has_header:
-        When True the first row is treated as headers (used only for labels).
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader]
-    if not rows:
-        return Table(columns=[], table_id=table_id or path.stem)
-    headers = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    return Table.from_rows(data_rows, headers=headers, table_id=table_id or path.stem)
 
 
 def table_to_csv(table: Table, path: str | Path, write_header: bool = True) -> None:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serving import Predictor
 from repro.tables import Column, Table, table_to_csv, tables_from_jsonl
 
 
@@ -429,9 +430,8 @@ class TestCommands:
         log = json.loads((registry / "sato" / "GATE_LOG.json").read_text())
         assert [e["gate"]["passed"] for e in log["entries"]] == [False, True]
 
-    def test_predict_on_csv(self, tmp_path, capsys):
-        corpus_path = tmp_path / "corpus.jsonl"
-        main(["generate", "--n-tables", "40", "--seed", "4", "--singleton-rate", "0.1", "--out", str(corpus_path)])
+    def test_predict_on_csv(self, trained_bundle, tmp_path, capsys):
+        bundle, _ = trained_bundle
         table = Table(
             columns=[
                 Column(values=["Alice Smith", "Bob Jones"], header="who"),
@@ -440,10 +440,42 @@ class TestCommands:
         )
         csv_path = tmp_path / "table.csv"
         table_to_csv(table, csv_path)
-        exit_code = main(
-            ["predict", "--corpus", str(corpus_path), "--csv", str(csv_path), "--epochs", "3"]
-        )
+        exit_code = main(["predict", "--model", str(bundle), "--csv", str(csv_path)])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "->" in output
-        assert output.count("->") == 2
+        # The labels the library gives the in-memory table.
+        (labels,) = Predictor.from_bundle(bundle).predict_tables([table])
+        assert output.splitlines() == [
+            f"{header:<24} -> {label}"
+            for header, label in zip(["who", "where"], labels)
+        ]
+
+    def test_predict_strips_a_utf8_bom(self, trained_bundle, tmp_path, capsys):
+        bundle, _ = trained_bundle
+        csv_path = tmp_path / "bom.csv"
+        csv_path.write_bytes("\ufeffwho,where\nAlice Smith,Paris\n".encode("utf-8"))
+        assert main(["predict", "--model", str(bundle), "--csv", str(csv_path)]) == 0
+        headers = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert headers == ["who", "where"]
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"who,where\nAlice Smith,Paris,female\n", "line 2 has 3 cells"),
+            (b"", "empty CSV file"),
+            (None, "cannot open"),
+        ],
+        ids=["overwide-row", "empty-file", "missing-file"],
+    )
+    def test_predict_refuses_unreadable_csv(
+        self, trained_bundle, tmp_path, capsys, content, message
+    ):
+        """``predict`` reads CSV like ``annotate``: a bad file exits 2."""
+        bundle, _ = trained_bundle
+        csv_path = tmp_path / "table.csv"
+        if content is not None:
+            csv_path.write_bytes(content)
+        assert main(["predict", "--model", str(bundle), "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -1,8 +1,8 @@
 """Tests for the vectorized featurization engine.
 
 The per-value loop (``reference_transform_columns``) is the oracle: every
-batched code path must agree with it ``allclose`` (rtol 1e-6), and bundles
-written by earlier versions of the featurizer must keep loading.
+batched code path must agree with it ``allclose`` (rtol 1e-6), and a bundle
+manifest the model classes cannot take is refused with a clean error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.features import (
     char_features,
@@ -20,7 +21,13 @@ from repro.features import (
     column_statistics,
     stats_features_batch,
 )
-from repro.serving import MANIFEST_NAME, Predictor, save_model
+from repro.serving import (
+    MANIFEST_NAME,
+    BundleFormatError,
+    Predictor,
+    load_model,
+    save_model,
+)
 import repro.tables.table as table_module
 from repro.tables import Column, Table
 
@@ -180,35 +187,42 @@ class TestVariantParity:
 
 
 class TestBundleCompatibility:
-    def test_pre_backend_bundle_still_loads(self, trained_base, tmp_path, corpus_small):
-        """Manifests with or without the retired runtime keys load alike.
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda column: column["featurizer"].update(backend="loop"), "backend"),
+            (lambda column: column["featurizer"].update(workers=0), "workers"),
+            (lambda column: column["training"].update(foo=1), "foo"),
+            (lambda column: column.pop("n_classes"), "n_classes"),
+        ],
+        ids=[
+            "retired-backend",
+            "retired-workers",
+            "unknown-training-key",
+            "missing-n-classes",
+        ],
+    )
+    def test_malformed_manifest_is_refused(
+        self, edit, key, trained_base, tmp_path, capsys
+    ):
+        """A config tree the model classes cannot take is refused by name.
 
-        The first bundle format had neither ``backend`` nor ``workers``;
-        later bundles carry ``"backend"`` (``"vectorized"`` or ``"loop"``),
-        and those written while the featurizer had a process pool also
-        carry ``"workers": 0``.  Every one predicts the same labels.
+        ``backend`` and ``workers`` are retired featurizer settings that no
+        loadable (format 2) bundle was written with; like any unknown or
+        missing key they raise :class:`BundleFormatError`, which
+        ``predict`` reports as an unloadable bundle with exit code 2.
         """
         bundle = save_model(trained_base, tmp_path / "bundle")
         manifest_path = bundle / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        column_config = manifest["model"]["column_model"]
-        featurizer_config = column_config["featurizer"]
-        assert "workers" not in featurizer_config
-        assert "backend" not in featurizer_config
-        table = corpus_small[0]
-        expected = trained_base.predict_table(table)
-
-        for retired in (
-            {},
-            {"backend": "loop"},
-            {"backend": "vectorized"},
-            {"backend": "vectorized", "workers": 0},
-            {"workers": 0},
-        ):
-            column_config["featurizer"] = {**featurizer_config, **retired}
-            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-            predictor = Predictor.from_bundle(bundle)
-            assert predictor.predict_table(table) == expected, retired
+        edit(manifest["model"]["column_model"])
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with pytest.raises(BundleFormatError, match=key):
+            load_model(bundle)
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("who\nAlice Smith\n", encoding="utf-8")
+        assert main(["predict", "--model", str(bundle), "--csv", str(csv_path)]) == 2
+        assert "cannot load model bundle" in capsys.readouterr().err
 
 
 class TestRuntimeIsolation:

@@ -347,16 +347,21 @@ class TestFleetServing:
     def test_metrics_aggregates_across_workers(self, fleet_server, serving_split):
         _, test = serving_split
         for table in test[:4]:
-            request(
+            status, _, _ = request(
                 fleet_server.port, "POST", "/v1/predict", {"table": table.to_dict()}
             )
+            assert status == 200
         status, payload, _ = request(fleet_server.port, "GET", "/metrics")
         assert status == 200
         fleet = payload["fleet"]
         assert fleet["size"] == 2 and fleet["alive"] == 2
         assert fleet["columns_served"] > 0
-        assert fleet["latency_ms"]["window"] > 0
-        assert fleet["latency_ms"]["p50"] <= fleet["latency_ms"]["p99"]
+        # The front end records every reply, so the fleet-wide windows are
+        # the top-level blocks; no worker window is copied into "fleet".
+        for block in ("latency_ms", "queue_wait_ms"):
+            assert payload[block]["window"] >= 4
+            assert payload[block]["p50"] <= payload[block]["p99"]
+            assert block not in fleet
         routing = fleet["routing"]
         assert routing["affinity_hits"] + routing["spills"] > 0
         per_worker = [w for w in fleet["workers"] if "metrics" in w]
@@ -364,6 +369,8 @@ class TestFleetServing:
         assert sum(w["metrics"]["columns"]["served"] for w in per_worker) == (
             fleet["columns_served"]
         )
+        # Each worker keeps its own windows.
+        assert sum(w["metrics"]["queue_wait_ms"]["window"] for w in per_worker) >= 4
         # Front-end latency accounting feeds the top-level snapshot.
         assert payload["requests"]["completed"] > 0
 

@@ -345,6 +345,18 @@ class TestDispatchBatch:
         assert [span.name for span in spans] == ["worker.batch"]
         assert spans[0].parent_id == context.span_id
 
+    def test_each_queue_wait_is_recorded_once(self):
+        """A queue wait is not a span: it lands in the metrics window only."""
+        batch = [
+            _Pending(table=make_table(tag=f"t{rid}"), reply=rid) for rid in range(5)
+        ]
+        metrics = ServingMetrics()
+        dispatch_batch(RecordingPredictor(), batch, metrics, "worker.batch")
+        assert metrics.snapshot()["queue_wait_ms"]["window"] == len(batch)
+        stages = get_tracer().stages.snapshot()
+        assert "worker.batch" in stages  # the tracer is recording
+        assert "queue.wait" not in stages
+
 
 class TestServingMetrics:
     def test_snapshot_shape_and_counters(self):
@@ -389,15 +401,6 @@ class TestServingMetrics:
         assert _percentile(values, 0.0) == 1.0
         assert _percentile(values, 1.0) == 4.0
         assert _percentile(values, 0.5) in (2.0, 3.0)
-
-    def test_latencies_returns_raw_window_in_order(self):
-        metrics = ServingMetrics(window=3)
-        for latency in (0.3, 0.1, 0.2, 0.4):
-            metrics.record_request(latency)
-        assert metrics.latencies() == [0.1, 0.2, 0.4]
-        # A copy, not the live deque: mutating it must not leak back.
-        metrics.latencies().append(9.9)
-        assert metrics.latencies() == [0.1, 0.2, 0.4]
 
     def test_concurrent_writers_lose_no_counts(self):
         """ServingMetrics is shared by the fleet's event loop, reader

@@ -1,13 +1,10 @@
-"""Tests for CSV / JSONL table persistence."""
+"""Tests for JSONL table persistence.
 
-from repro.tables import (
-    Column,
-    Table,
-    table_from_csv,
-    table_to_csv,
-    tables_from_jsonl,
-    tables_to_jsonl,
-)
+CSV is read by the ingest ``CsvAdapter``; its tests live in
+``tests/test_ingest_adapters.py``.
+"""
+
+from repro.tables import Column, Table, tables_from_jsonl, tables_to_jsonl
 from repro.tables.io import iter_tables_from_jsonl
 
 
@@ -19,34 +16,6 @@ def _sample_table():
         ],
         table_id="sample",
     )
-
-
-class TestCsv:
-    def test_round_trip_with_header(self, tmp_path):
-        path = tmp_path / "table.csv"
-        table_to_csv(_sample_table(), path)
-        loaded = table_from_csv(path)
-        assert loaded.n_columns == 2
-        assert loaded.columns[0].values == ["Alice", "Bob"]
-        assert loaded.labels == ["name", "city"]
-
-    def test_round_trip_without_header(self, tmp_path):
-        path = tmp_path / "table.csv"
-        table_to_csv(_sample_table(), path, write_header=False)
-        loaded = table_from_csv(path, has_header=False)
-        assert loaded.n_rows == 2
-        assert loaded.labels == [None, None]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        loaded = table_from_csv(path)
-        assert loaded.n_columns == 0
-
-    def test_table_id_defaults_to_stem(self, tmp_path):
-        path = tmp_path / "mytable.csv"
-        table_to_csv(_sample_table(), path)
-        assert table_from_csv(path).table_id == "mytable"
 
 
 class TestJsonl:
