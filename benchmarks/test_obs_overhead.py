@@ -7,7 +7,10 @@ a docstring: the same serving-shaped workload (distinct tables, warm
 model, ``predict_tables`` in micro-batch slices plus the JSON encode the
 HTTP server pays) runs with the process tracer enabled and disabled in
 *alternating* rounds, best-of each arm, so CPU-frequency drift hits both
-arms equally.  ``traced_vs_untraced`` is the throughput ratio (1.0 = free;
+arms equally.  Within a round the two arms take turns pass by pass, and
+each arm replays the corpus often enough to add up to
+:data:`MIN_SIDE_SECONDS`, so a host that slows for a second slows both
+arms alike.  ``traced_vs_untraced`` is the throughput ratio (1.0 = free;
 the in-test gate is :data:`MIN_TRACED_RATIO`).
 
 The same run exercises the profiling CLI end to end: the replayed corpus
@@ -24,6 +27,7 @@ against ``baselines.json``.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -42,6 +46,11 @@ MIN_COVERAGE = 0.90
 
 #: Alternating traced/untraced rounds (best-of per arm).
 ROUNDS = 3
+
+#: Timed work per arm and round.  One pass over the tiny preset's corpus
+#: takes only 20-40 ms, and timing one pass per arm failed 4 of 25 runs on
+#: a 2-vCPU VM; so did timing 1 s of passes in one block per arm.
+MIN_SIDE_SECONDS = 0.5
 
 BATCH_SIZE = 8
 
@@ -83,16 +92,21 @@ def _overhead_comparison(config) -> dict:
     serve = _serving_corpus(preset)
     n_columns = sum(t.n_columns for t in serve)
 
-    predictor.predict_tables(serve[:BATCH_SIZE])  # warm imports/allocators
+    _replay(predictor, serve)  # warm imports/allocators
+    replays = math.ceil(MIN_SIDE_SECONDS / _replay(predictor, serve))
     tracer = get_tracer()
     was_enabled = tracer.enabled
     best = {True: float("inf"), False: float("inf")}
     try:
         for _ in range(ROUNDS):
-            for enabled in (False, True):
-                set_enabled(enabled)
-                tracer.reset()
-                best[enabled] = min(best[enabled], _replay(predictor, serve))
+            seconds = {True: 0.0, False: 0.0}
+            for _ in range(replays):
+                for enabled in (False, True):
+                    set_enabled(enabled)
+                    tracer.reset()
+                    seconds[enabled] += _replay(predictor, serve)
+            for enabled, total in seconds.items():
+                best[enabled] = min(best[enabled], total)
     finally:
         set_enabled(was_enabled)
         tracer.reset()
@@ -106,6 +120,7 @@ def _overhead_comparison(config) -> dict:
         "n_tables": len(serve),
         "n_columns": n_columns,
         "rounds": ROUNDS,
+        "replays": replays,
         "batch_size": BATCH_SIZE,
         "untraced_seconds": best[False],
         "traced_seconds": best[True],
@@ -127,7 +142,8 @@ def test_obs_overhead_and_profile_coverage(benchmark, config):
             [
                 "observability overhead "
                 f"({result['n_tables']} tables / {result['n_columns']} columns, "
-                f"best of {result['rounds']} alternating rounds):",
+                f"best of {result['rounds']} alternating rounds of "
+                f"{result['replays']} passes per arm):",
                 f"  untraced: {result['untraced_seconds']:7.3f}s",
                 f"  traced  : {result['traced_seconds']:7.3f}s",
                 f"  ratio   : {result['traced_vs_untraced']:7.3f} "

@@ -141,9 +141,11 @@ class SatoModel(ColumnModel):
             self.crf = LinearChainCRF.from_cooccurrence(cooccurrence, scale=0.5)
         else:
             self.crf = LinearChainCRF(n_states=NUM_TYPES)
+        # Column-wise scores for every example, from one batched call.
+        scores = self.column_model.predict_proba_tables(multi)
         examples = []
-        for table in multi:
-            unary = self._unary_potentials(table)
+        for table, probabilities in zip(multi, scores):
+            unary = np.log(probabilities + _LOG_EPS)
             labels = np.array(
                 [TYPE_TO_INDEX[c.semantic_type] for c in table.columns], dtype=np.int64
             )
@@ -156,11 +158,6 @@ class SatoModel(ColumnModel):
             seed=self.config.seed,
         )
         trainer.fit(examples)
-
-    def _unary_potentials(self, table: Table) -> np.ndarray:
-        """Log of the normalised column-wise prediction scores."""
-        probabilities = self.column_model.predict_proba_table(table)
-        return np.log(probabilities + _LOG_EPS)
 
     # ------------------------------------------------------------ inference
 

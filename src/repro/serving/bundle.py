@@ -234,22 +234,11 @@ def load_model_from_state(path: str | Path, state: dict[str, np.ndarray]) -> Sat
     The same manifest checks run either way, so a shared-memory load is
     validated exactly like the classic path.  A config tree that lacks a
     key the constructors need, or carries one they do not take, raises
-    :class:`BundleFormatError` naming the key.
+    :class:`BundleFormatError` naming the key; a value of the wrong type
+    or size raises it too.
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    try:
-        model_config = manifest["model"]
-        sato_raw = dict(model_config["sato"])
-        training = TrainingConfig(**sato_raw.pop("training"))
-        sato_config = SatoConfig(training=training, **sato_raw)
-        column_model = _build_column_model(model_config["column_model"])
-    except KeyError as error:
-        raise BundleFormatError(f"manifest lacks the config key {error}") from error
-    except TypeError as error:
-        raise BundleFormatError(f"manifest config does not fit: {error}") from error
-    model = SatoModel(config=sato_config, column_model=column_model)
-
     expected_keys = manifest.get("tensor_keys")
     if expected_keys is not None and sorted(state) != expected_keys:
         missing = sorted(set(expected_keys) - set(state))
@@ -258,7 +247,20 @@ def load_model_from_state(path: str | Path, state: dict[str, np.ndarray]) -> Sat
             f"tensor state does not match the manifest "
             f"(missing: {missing}, unexpected: {extra})"
         )
-    model.load_state_dict(state)
+    try:
+        model_config = manifest["model"]
+        sato_raw = dict(model_config["sato"])
+        training = TrainingConfig(**sato_raw.pop("training"))
+        sato_config = SatoConfig(training=training, **sato_raw)
+        column_model = _build_column_model(model_config["column_model"])
+        model = SatoModel(config=sato_config, column_model=column_model)
+        # A value of the wrong type or size fails only here, where the
+        # network is built around it.
+        model.load_state_dict(state)
+    except KeyError as error:
+        raise BundleFormatError(f"manifest lacks the config key {error}") from error
+    except (TypeError, ValueError) as error:
+        raise BundleFormatError(f"manifest config does not fit: {error}") from error
 
     variant = model_config.get("variant")
     if variant is not None and variant != model.name:

@@ -51,11 +51,6 @@ class Column:
         return iter(self.values)
 
     @property
-    def non_empty_values(self) -> list[str]:
-        """Values that are not missing (empty or whitespace-only)."""
-        return [v for v in self.values if v.strip()]
-
-    @property
     def has_label(self) -> bool:
         """Whether a ground-truth semantic type is attached."""
         return self.semantic_type is not None
@@ -146,17 +141,6 @@ class Table:
     def is_fully_labeled(self) -> bool:
         """True when every column carries a ground-truth semantic type."""
         return bool(self.columns) and all(c.has_label for c in self.columns)
-
-    def all_values(self) -> list[str]:
-        """All non-missing cell values of the table, column by column.
-
-        This is the "global context" (table values) used by the table intent
-        estimator: the whole table is treated as one document.
-        """
-        values: list[str] = []
-        for column in self.columns:
-            values.extend(column.non_empty_values)
-        return values
 
     def rows(self) -> list[list[str]]:
         """Return the table in row-major order, padding ragged columns."""

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.embeddings.tokenizer import tokenize_values
+from repro.embeddings.tokenizer import tokenize
 from repro.tables import Table
 from repro.topic.dictionary import Dictionary
 from repro.topic.lda import LatentDirichletAllocation
@@ -54,8 +54,20 @@ class TableIntentEstimator:
         return self._fitted
 
     def table_document(self, table: Table) -> list[str]:
-        """Tokenise a table's values into one document (headers ignored)."""
-        return tokenize_values(table.all_values())[: self.max_tokens_per_table]
+        """Tokenise a table's values into one document (headers ignored).
+
+        The document is the first ``max_tokens_per_table`` tokens of the
+        values, column by column, and tokenizing stops once it has them.
+        Missing (empty or whitespace-only) cells tokenize to nothing.
+        """
+        cap = self.max_tokens_per_table
+        document: list[str] = []
+        for column in table.columns:
+            for value in column.values:
+                if len(document) >= cap:
+                    return document[:cap]
+                document.extend(tokenize(value))
+        return document[:cap]
 
     def fit(self, tables: Iterable[Table]) -> "TableIntentEstimator":
         """Pre-train the LDA model on an unlabelled table corpus."""

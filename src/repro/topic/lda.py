@@ -1,18 +1,20 @@
-"""Latent Dirichlet Allocation: collapsed Gibbs fit, EM fold-in inference.
+"""Latent Dirichlet Allocation: one EM E-step for fit and inference.
 
 This is the offline replacement for gensim's LDA: documents (tables) are
 random mixtures of latent topics, and topics are distributions over tokens.
-:meth:`LatentDirichletAllocation.fit` samples topic assignments with the
-multinomial parameters integrated out, keeping topic/token count matrices.
+As in gensim, fit and inference are deterministic variational EM (Hoffman,
+Blei & Bach, NeurIPS 2010), and they share one E-step, ``_fold_in``.
 
-Inference is deterministic, like gensim's variational fixed point (Hoffman,
-Blei & Bach, NeurIPS 2010).  ``phi_kw = (n_kw + beta) / (n_k + V beta)``
-stays frozen, and each document's ``theta`` is iterated
-``infer_iterations`` times from uniform: ``r_wk`` proportional to
-``phi_kw theta_k`` (normalised over topics), then
+The E-step holds ``phi_kw = (n_kw + beta) / (n_k + V beta)`` fixed and
+iterates each document's ``theta`` ``infer_iterations`` times from uniform:
+``r_wk`` proportional to ``phi_kw theta_k`` (normalised over topics), then
 ``theta_k = (sum_w n_w r_wk + alpha) / (N + K alpha)`` for a document of
 ``N`` tokens, ``n_w`` of them ``w``.  Every reduction runs over one
 document's own rows, so a vector is bit-identical alone or in any batch.
+Inference is that E-step against the fitted counts.  :meth:`fit` starts
+from one uniformly random topic per token; each of its ``n_iterations`` EM
+iterations runs the E-step over every training document, then the M-step
+sets ``n_kw`` to the summed expected counts ``n_w r_wk``.
 """
 
 from __future__ import annotations
@@ -33,20 +35,8 @@ __all__ = ["LatentDirichletAllocation"]
 _DOCUMENTS_PER_PASS = 64
 
 
-def _draw(p: np.ndarray, uniform: float) -> int:
-    """The index ``rng.choice(len(p), p=p)`` returns for the uniform ``uniform``.
-
-    These are the three steps ``Generator.choice`` takes internally, so a
-    caller that draws ``uniform`` with ``rng.random()`` consumes the same
-    stream and gets the same index, bit for bit.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(uniform, side="right"))
-
-
 class LatentDirichletAllocation:
-    """LDA fitted by collapsed Gibbs sampling, inferred by EM fold-in.
+    """LDA fitted and inferred by variational EM with one shared E-step.
 
     Parameters
     ----------
@@ -57,9 +47,13 @@ class LatentDirichletAllocation:
     beta:
         Symmetric Dirichlet prior on the topic-token distribution.
     n_iterations:
-        Gibbs sweeps over the corpus during :meth:`fit`.
+        EM iterations of :meth:`fit`, each one E-step over every training
+        document and one M-step.
     infer_iterations:
-        Fixed-point iterations per document during inference.
+        Fixed-point steps of each E-step, in fit and inference alike (at
+        least 1).
+    seed:
+        Seeds the random topic per token that :meth:`fit` starts from.
     """
 
     def __init__(
@@ -75,6 +69,9 @@ class LatentDirichletAllocation:
             raise ValueError("n_topics must be positive")
         if (alpha is not None and alpha < 0) or beta < 0:
             raise ValueError("alpha and beta must be non-negative")
+        if infer_iterations < 1:
+            # An E-step of no steps computes no responsibilities.
+            raise ValueError("infer_iterations must be at least 1")
         self.n_topics = n_topics
         # A sparse document-topic prior keeps the inferred table-intent
         # distributions peaky (tables express one or two intents, not a
@@ -102,78 +99,28 @@ class LatentDirichletAllocation:
         documents: Sequence[Sequence[str]],
         dictionary: Dictionary | None = None,
     ) -> "LatentDirichletAllocation":
-        """Train the topic model on tokenised documents."""
+        """Train the topic model on tokenised documents by EM."""
         documents = [list(d) for d in documents]
         self.dictionary = dictionary or Dictionary().fit(documents)
-        vocabulary_size = max(1, len(self.dictionary))
         rng = np.random.default_rng(self.seed)
-
-        doc_tokens = [np.array(self.dictionary.doc2ids(d), dtype=np.int64) for d in documents]
-        assignments = [
-            rng.integers(0, self.n_topics, size=tokens.size) for tokens in doc_tokens
-        ]
-
-        topic_token = np.zeros((self.n_topics, vocabulary_size), dtype=np.float64)
-        topic_totals = np.zeros(self.n_topics, dtype=np.float64)
-        doc_topic = np.zeros((len(documents), self.n_topics), dtype=np.float64)
-        for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
-            for token, topic in zip(tokens, topics):
-                topic_token[topic, token] += 1
-                topic_totals[topic] += 1
-                doc_topic[d, topic] += 1
-
+        ids = [self.dictionary.doc2ids(d) for d in documents]
+        # Start from one uniformly random topic per token.
+        counts = np.zeros((self.n_topics, max(1, len(self.dictionary))))
+        for tokens in ids:
+            np.add.at(counts, (rng.integers(0, self.n_topics, len(tokens)), tokens), 1)
+        live = [tokens for tokens in ids if tokens]
         for _ in range(self.n_iterations):
-            for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
-                self._gibbs_sweep(
-                    tokens, topics, doc_topic[d], topic_token, topic_totals,
-                    vocabulary_size, rng,
-                )
-
-        self.topic_token_counts = topic_token
-        self.topic_counts = topic_totals
+            # The E-step reads the current counts; the M-step sums the
+            # expected counts into the next ones.
+            self.topic_token_counts, self.topic_counts = counts, counts.sum(axis=1)
+            counts = np.zeros_like(counts)
+            for start in range(0, len(live), _DOCUMENTS_PER_PASS):
+                chunk = live[start:start + _DOCUMENTS_PER_PASS]
+                _, tokens, expected = self._fold_in(chunk)
+                np.add.at(counts.T, tokens, expected)
+        self.topic_token_counts, self.topic_counts = counts, counts.sum(axis=1)
         self._fitted = True
         return self
-
-    def _gibbs_sweep(
-        self,
-        tokens: np.ndarray,
-        topics: np.ndarray,
-        doc_topic_row: np.ndarray,
-        topic_token: np.ndarray,
-        topic_totals: np.ndarray,
-        vocabulary_size: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Resample every topic assignment of one training document."""
-        beta_sum = self.beta * vocabulary_size
-        for position in range(tokens.size):
-            token = tokens[position]
-            old_topic = topics[position]
-            doc_topic_row[old_topic] -= 1
-            topic_token[old_topic, token] -= 1
-            topic_totals[old_topic] -= 1
-
-            denominator = topic_totals + beta_sum
-            if not beta_sum:
-                # Only under beta = 0 can a denominator be 0: a topic without
-                # tokens has 0 / 0, and as in inference it explains nothing.
-                # (Guarding every step would slow each token of the fit.)
-                denominator = np.where(denominator > 0, denominator, 1.0)
-            weights = (
-                (topic_token[:, token] + self.beta)
-                / denominator
-                * (doc_topic_row + self.alpha)
-            )
-            weights_sum = weights.sum()
-            if weights_sum <= 0 or not np.isfinite(weights_sum):
-                new_topic = int(rng.integers(0, self.n_topics))
-            else:
-                new_topic = _draw(weights / weights_sum, rng.random())
-
-            topics[position] = new_topic
-            doc_topic_row[new_topic] += 1
-            topic_token[new_topic, token] += 1
-            topic_totals[new_topic] += 1
 
     # -------------------------------------------------------- serialisation
 
@@ -233,16 +180,17 @@ class LatentDirichletAllocation:
         live = [i for i, tokens in enumerate(ids) if tokens]
         for start in range(0, len(live), _DOCUMENTS_PER_PASS):
             chunk = live[start:start + _DOCUMENTS_PER_PASS]
-            vectors[chunk] = self._fold_in([ids[i] for i in chunk])
+            vectors[chunk] = self._fold_in([ids[i] for i in chunk])[0]
         return vectors
 
-    def _fold_in(self, documents: Sequence[list[int]]) -> np.ndarray:
+    def _fold_in(self, documents: Sequence[list[int]]) -> tuple[np.ndarray, ...]:
         """EM fold-in of non-empty documents of token ids, one row per distinct token.
 
         Every step is elementwise or sums one row (over topics) or one
         document's own rows (``np.add.reduceat``): never an axis padded to
         the longest document, whose length would change the rounding of
-        pairwise summation.
+        pairwise summation.  Returns each document's ``theta``, then each
+        row's token and its last step's expected topic counts ``n_w r_wk``.
         """
         n_topics, alpha = self.n_topics, self.alpha
         distinct = [np.unique(d, return_counts=True) for d in documents]
@@ -276,7 +224,7 @@ class LatentDirichletAllocation:
             theta = np.add.reduceat(responsibility, starts, axis=0)
             theta += alpha
             theta /= totals
-        return theta
+        return theta, tokens, responsibility
 
     def topic_top_tokens(self, topic: int, k: int = 10) -> list[str]:
         """Most probable tokens of a topic."""

@@ -194,12 +194,16 @@ class TestBundleCompatibility:
             (lambda column: column["featurizer"].update(workers=0), "workers"),
             (lambda column: column["training"].update(foo=1), "foo"),
             (lambda column: column.pop("n_classes"), "n_classes"),
+            (lambda column: column.update(n_classes="x"), "does not fit"),
+            (lambda column: column.update(n_classes=10**20), "does not fit"),
         ],
         ids=[
             "retired-backend",
             "retired-workers",
             "unknown-training-key",
             "missing-n-classes",
+            "n-classes-of-wrong-type",
+            "n-classes-too-large",
         ],
     )
     def test_malformed_manifest_is_refused(
@@ -209,8 +213,9 @@ class TestBundleCompatibility:
 
         ``backend`` and ``workers`` are retired featurizer settings that no
         loadable (format 2) bundle was written with; like any unknown or
-        missing key they raise :class:`BundleFormatError`, which
-        ``predict`` reports as an unloadable bundle with exit code 2.
+        missing key, or a value of the wrong type or size, they raise
+        :class:`BundleFormatError`, which ``predict`` reports as an
+        unloadable bundle with exit code 2.
         """
         bundle = save_model(trained_base, tmp_path / "bundle")
         manifest_path = bundle / MANIFEST_NAME

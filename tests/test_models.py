@@ -10,6 +10,7 @@ from repro.models import (
     TrainingConfig,
 )
 from repro.models.column_network import GroupSpec, NetworkTrainer
+from repro.serving import model_fingerprint
 from repro.tables import Column, Table
 from repro.types import NUM_TYPES, SEMANTIC_TYPES
 
@@ -181,6 +182,36 @@ class TestTopicAwareAndSato:
                 total += 1
                 correct += int(predicted == column.semantic_type)
         assert correct / total > 0.15
+
+    def test_crf_unaries_come_from_one_batched_call(self, serving_split, monkeypatch):
+        train, _ = serving_split
+        model = make_tiny_model(use_topic=True, use_struct=True)
+        column_model = model.column_model
+        batched, single = [], []
+        predict_proba_tables = column_model.predict_proba_tables
+        predict_proba_table = column_model.predict_proba_table
+        monkeypatch.setattr(
+            column_model,
+            "predict_proba_tables",
+            lambda tables: batched.append(len(tables)) or predict_proba_tables(tables),
+        )
+        monkeypatch.setattr(
+            column_model,
+            "predict_proba_table",
+            lambda table: single.append(table) or predict_proba_table(table),
+        )
+        model.fit(train)
+        multi = [t for t in train if t.n_columns > 1 and t.is_fully_labeled]
+        assert multi
+        assert batched == [len(multi)]
+        assert single == []
+
+    def test_fit_is_deterministic(self, serving_split):
+        train, _ = serving_split
+        first, second = (
+            make_tiny_model(use_topic=True, use_struct=True).fit(train) for _ in range(2)
+        )
+        assert model_fingerprint(first) == model_fingerprint(second)
 
 
 class TestAttentionColumnModel:

@@ -21,10 +21,6 @@ class TestColumn:
         column = Column(values=["a"], header="Year", semantic_type="city")
         assert column.semantic_type == "city"
 
-    def test_non_empty_values(self):
-        column = Column(values=["a", "", "  ", "b"])
-        assert column.non_empty_values == ["a", "b"]
-
     def test_len_iter_head(self):
         column = Column(values=list("abcdef"))
         assert len(column) == 6
@@ -67,14 +63,7 @@ class TestTable:
         table = Table(columns=[])
         assert table.n_rows == 0
         assert not table.is_fully_labeled
-        assert table.all_values() == []
         assert table.rows() == []
-
-    def test_all_values_skips_missing(self):
-        table = Table(
-            columns=[Column(values=["a", ""]), Column(values=["", "b"])]
-        )
-        assert sorted(table.all_values()) == ["a", "b"]
 
     def test_rows_pads_ragged_columns(self):
         table = Table(columns=[Column(values=["a", "b", "c"]), Column(values=["1"])])

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.embeddings.tokenizer as tokenizer_module
+import repro.topic.intent as intent_module
+from repro.embeddings import tokenize, tokenize_values
 from repro.serving import Predictor
 from repro.tables import Column, Table
 from repro.topic import (
@@ -96,7 +99,9 @@ class TestLDA:
             LatentDirichletAllocation(n_topics=3).transform(["a"])
 
     def test_invalid_topics(self):
-        for kwargs in ({"n_topics": 0}, {"alpha": -0.5}, {"beta": -0.001}):
+        for kwargs in (
+            {"n_topics": 0}, {"alpha": -0.5}, {"beta": -0.001}, {"infer_iterations": 0}
+        ):
             with pytest.raises(ValueError):
                 LatentDirichletAllocation(**kwargs)
 
@@ -104,36 +109,18 @@ class TestLDA:
         a = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         b = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         assert np.array_equal(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
+        assert np.array_equal(a.topic_token_counts, b.topic_token_counts)
 
-
-class _ChoiceLDA(LatentDirichletAllocation):
-    """The fit's Gibbs sweep as it drew with ``rng.choice``: the reference."""
-
-    def _gibbs_sweep(
-        self, tokens, topics, doc_topic_row, topic_token, topic_totals,
-        vocabulary_size, rng,
-    ):
-        beta_sum = self.beta * vocabulary_size
-        for position in range(tokens.size):
-            token = tokens[position]
-            old_topic = topics[position]
-            doc_topic_row[old_topic] -= 1
-            topic_token[old_topic, token] -= 1
-            topic_totals[old_topic] -= 1
-            weights = (
-                (topic_token[:, token] + self.beta)
-                / (topic_totals + beta_sum)
-                * (doc_topic_row + self.alpha)
-            )
-            weights_sum = weights.sum()
-            if weights_sum <= 0 or not np.isfinite(weights_sum):
-                new_topic = int(rng.integers(0, self.n_topics))
-            else:
-                new_topic = int(rng.choice(self.n_topics, p=weights / weights_sum))
-            topics[position] = new_topic
-            doc_topic_row[new_topic] += 1
-            topic_token[new_topic, token] += 1
-            topic_totals[new_topic] += 1
+    def test_m_step_keeps_every_token_count(self):
+        # Repeated tokens weigh their responsibilities; "unseen" and the
+        # empty document carry no dictionary token.
+        documents = _documents() + [["team", "team", "goal", "unseen"], []]
+        lda = LatentDirichletAllocation(n_topics=3, n_iterations=4, seed=2)
+        dictionary = Dictionary(no_below=2).fit(documents)
+        lda.fit(documents, dictionary=dictionary)
+        assert np.array_equal(lda.topic_counts, lda.topic_token_counts.sum(axis=1))
+        n_tokens = sum(len(dictionary.doc2ids(d)) for d in documents)
+        assert lda.topic_counts.sum() == pytest.approx(n_tokens, rel=1e-12)
 
 
 _WORDS = [f"w{i}" for i in range(120)]
@@ -250,15 +237,6 @@ class TestBatchedInference:
     def test_empty_call(self, fitted_by_topics):
         assert fitted_by_topics[2].transform_many([]).shape == (0, 2)
 
-    @pytest.mark.parametrize("n_topics", [2, 24, 400])
-    def test_explicit_draw_matches_rng_choice(self, n_topics):
-        documents = _corpus()
-        config = {"n_topics": n_topics, "n_iterations": 3}
-        ours = LatentDirichletAllocation(seed=7, **config).fit(documents)
-        reference = _ChoiceLDA(seed=7, **config).fit(documents)
-        assert np.array_equal(ours.topic_token_counts, reference.topic_token_counts)
-        assert np.array_equal(ours.topic_counts, reference.topic_counts)
-
 
 class TestPredictorTopics:
     """The serving path infers each micro-batch's misses in one call."""
@@ -333,6 +311,30 @@ class TestIntentEstimator:
         estimator = TableIntentEstimator(n_topics=4)
         with pytest.raises(RuntimeError):
             estimator.topic_vector(corpus_small[0])
+
+    @pytest.mark.parametrize("cap", [512, 7])
+    def test_table_document_is_the_capped_token_prefix(self, corpus_small, cap):
+        estimator = TableIntentEstimator(n_topics=4, max_tokens_per_table=cap)
+        for table in corpus_small:
+            values = [v for column in table.columns for v in column.values if v.strip()]
+            assert estimator.table_document(table) == tokenize_values(values)[:cap]
+
+    def test_table_document_stops_tokenizing_at_the_cap(self, monkeypatch):
+        values = ["" if i % 3 == 0 else f"Springfield {i}" for i in range(100_000)]
+        table = Table(columns=[Column(values=values), Column(values=["Rome"])])
+        estimator = TableIntentEstimator(n_topics=4)
+        cap = estimator.max_tokens_per_table
+        expected = tokenize_values([v for v in values if v.strip()])[:cap]
+        tokenized = []
+        for module in (tokenizer_module, intent_module):
+            monkeypatch.setattr(
+                module,
+                "tokenize",
+                lambda value: tokenized.append(value) or tokenize(value),
+                raising=False,
+            )
+        assert estimator.table_document(table) == expected
+        assert len(tokenized) <= cap
 
     def test_table_document_ignores_headers(self, estimator):
         table = Table(
