@@ -12,6 +12,12 @@ This script turns those one-off numbers into a tracked series:
 3. the script exits non-zero if any tracked metric fell more than
    ``--max-regression`` (default 30%) below its committed baseline.
 
+A result file whose top-level ``"gated"`` is ``false`` comes from a
+benchmark that found its own bar does not apply on this host
+(``fleet_scaling`` below 4 cores: four workers cannot outrun one on two
+cores).  Its metrics still enter the history, but no floor applies to
+them.
+
 Tracked metrics are *speedup ratios* (batched vs loop, vectorized vs loop,
 micro-batched vs batch-1), not absolute columns/sec: ratios compare a fast
 path against a reference path on the same hardware, so the gate is stable
@@ -35,6 +41,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Container
 from pathlib import Path
 
 #: Bound on stored history entries (one per CI run).
@@ -81,14 +88,32 @@ def collect_metrics(
     return metrics, missing
 
 
+def ungated_stems(results_dir: Path, baseline: dict) -> set[str]:
+    """Baselined result files that report ``"gated": false`` for this host."""
+    stems: set[str] = set()
+    for stem, tracked in baseline.items():
+        path = results_dir / f"{stem}.json"
+        if isinstance(tracked, dict) and path.is_file():
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if isinstance(payload, dict) and payload.get("gated") is False:
+                stems.add(stem)
+    return stems
+
+
 def find_regressions(
-    metrics: dict[str, float], baseline: dict, max_regression: float
+    metrics: dict[str, float],
+    baseline: dict,
+    max_regression: float,
+    ungated: Container[str] = frozenset(),
 ) -> list[str]:
-    """Tracked metrics that fell more than ``max_regression`` below baseline."""
+    """Tracked metrics that fell more than ``max_regression`` below baseline.
+
+    Metrics of the result files named in ``ungated`` are not checked.
+    """
     failures: list[str] = []
     for stem, tracked in baseline.items():
-        if not isinstance(tracked, dict):  # documentation keys like _comment
-            continue
+        if not isinstance(tracked, dict) or stem in ungated:
+            continue  # documentation keys like _comment, or no bar here
         for dotted, reference in tracked.items():
             key = f"{stem}.{dotted}"
             if key not in metrics:
@@ -135,16 +160,20 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     metrics, missing = collect_metrics(args.results_dir, baseline)
+    ungated = ungated_stems(args.results_dir, baseline)
 
     entry = {
         "sha": os.environ.get("GITHUB_SHA", ""),
         "run": os.environ.get("GITHUB_RUN_NUMBER", ""),
         "metrics": metrics,
+        "ungated": sorted(ungated),
     }
     entries = merge_history(args.history, entry)
     print(f"bench-history: {len(entries)} entries ({args.history})")
     for key in sorted(metrics):
-        print(f"  {key} = {metrics[key]:.3f}")
+        stem = key.split(".")[0]
+        note = " (no floor: bar does not apply here)" if stem in ungated else ""
+        print(f"  {key} = {metrics[key]:.3f}{note}")
 
     status = 0
     if missing:
@@ -152,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"missing tracked metric: {key}", file=sys.stderr)
         if args.require_all:
             status = 1
-    failures = find_regressions(metrics, baseline, args.max_regression)
+    failures = find_regressions(metrics, baseline, args.max_regression, ungated)
     for failure in failures:
         print(f"REGRESSION {failure}", file=sys.stderr)
     if failures:

@@ -20,13 +20,14 @@ degenerates to IPC ping-pong and measures the pipe, not the fleet.
 Latency is measured client-side (submit to response), so queueing,
 routing and IPC are all inside the number.
 
-The acceptance bar (gated only on machines with >= 4 cores; CI runners
-have 4): 4 workers must reach ``MIN_FLEET_SPEEDUP`` x the single-worker
-columns/sec while client-perceived p99 stays within ``MAX_P99_RATIO`` x
-the single-worker p99.  Results are persisted to
-``benchmarks/results/fleet_scaling.json``; CI uploads the file as an
-artifact and ``check_trend.py`` gates the speedup against
-``baselines.json``.
+The acceptance bar (gated only on machines with >= ``MIN_BAR_CORES``
+cores; CI runners have 4): 4 workers must reach ``MIN_FLEET_SPEEDUP`` x
+the single-worker columns/sec while client-perceived p99 stays within
+``MAX_P99_RATIO`` x the single-worker p99.  Results are persisted to
+``benchmarks/results/fleet_scaling.json``, with ``gated`` saying whether
+the bar applied on this host; CI uploads the file as an artifact and
+``check_trend.py`` gates the speedup against ``baselines.json`` where
+the bar applied (four workers cannot scale on fewer cores).
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ from repro.serving.scheduler import (
 #: The tentpole acceptance bar: 4 workers must serve at least this many
 #: times the single-worker columns/sec on identical closed-loop load.
 MIN_FLEET_SPEEDUP = 2.5
+
+#: The bar applies only on hosts with at least this many cores: four
+#: workers sharing two cores read about 0.5x, not a scaling defect.
+MIN_BAR_CORES = 4
 
 #: ...while client-perceived p99 latency stays within this factor of the
 #: single-worker p99 (with a floor so a microsecond baseline cannot make
@@ -155,6 +160,7 @@ def _scaling_comparison(config) -> dict:
         "requests_per_client": REQUESTS_PER_CLIENT,
         "n_serve_tables": len(serve),
         "cpu_count": os.cpu_count(),
+        "gated": (os.cpu_count() or 1) >= MIN_BAR_CORES,
         **arms,
         "speedup_columns_per_sec": (
             four["columns_per_sec"] / max(one["columns_per_sec"], 1e-9)
@@ -196,9 +202,9 @@ def test_fleet_scaling(benchmark, config):
         assert result[f"workers_{n}"]["alive"] == n
         assert result[f"workers_{n}"]["restarts"] == 0
 
-    if (os.cpu_count() or 1) < 4:
+    if not result["gated"]:
         pytest.skip(
-            "fleet scaling bar needs >= 4 cores "
+            f"fleet scaling bar needs >= {MIN_BAR_CORES} cores "
             f"(this machine has {os.cpu_count()}); numbers were still emitted"
         )
 

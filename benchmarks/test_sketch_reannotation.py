@@ -8,6 +8,12 @@ most ``MAX_WARM_FRACTION`` of the cold one (a >= 3.3x speedup on a
 90%-unchanged corpus) while staying bit-identical to the store-off path
 — both enforced here, not just reported.
 
+One warm run lasts only a few hundredths of a second at the tiny preset,
+so one host stall could decide the ratio.  The cold and warm runs are
+therefore replayed as interleaved pairs, each pair on a fresh store,
+until each arm has summed :data:`MIN_SIDE_SECONDS`, and the bound holds
+for the summed times: a slow second hits both arms alike.
+
 Also measured: the ``--sketch-sample-rows`` dial, which featurizes store
 misses from each column's first N values.  Its accuracy cost is scored
 against the shipped hard-case eval suites and reported alongside the
@@ -38,6 +44,10 @@ from repro.tables import Column, Table, table_stream
 CHANGED_FRACTION = 0.10
 #: The warm run must cost at most this fraction of the cold run.
 MAX_WARM_FRACTION = 0.30
+#: Timed work per arm: cold/warm pairs are replayed until both arms have
+#: summed this much.  One pair at the tiny preset times 0.02-0.04 s of
+#: warm work on a 2-vCPU VM, where one such pair once read 0.297.
+MIN_SIDE_SECONDS = 0.5
 CHUNK_ROWS = 256
 SAMPLE_ROWS = 8
 
@@ -163,17 +173,26 @@ def _measure(config, tmp_path) -> dict:
     ).generate()
     model = _build_model(train)
     corpus = _annotation_corpus(config)
-    store = tmp_path / "sketches"
-
-    cold_records, cold_seconds, cold_stats = annotate_corpus(model, corpus, store)
     mutated, changed, total = mutate_corpus(corpus)
-    warm_records, warm_seconds, warm_stats = annotate_corpus(model, mutated, store)
+
+    cold_seconds = warm_seconds = 0.0
+    warm_outputs: set[str] = set()
+    pairs = 0
+    while min(cold_seconds, warm_seconds) < MIN_SIDE_SECONDS:
+        store = tmp_path / f"sketches-{pairs}"
+        cold_records, cold, cold_stats = annotate_corpus(model, corpus, store)
+        warm_records, warm, warm_stats = annotate_corpus(model, mutated, store)
+        cold_seconds += cold
+        warm_seconds += warm
+        warm_outputs.add(json.dumps(warm_records))
+        pairs += 1
     oracle_records, eager_seconds, _ = annotate_corpus(model, mutated)
 
     return {
         "n_tables": len(corpus),
         "n_columns": total,
         "changed_columns": changed,
+        "pairs": pairs,
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "eager_seconds": eager_seconds,
@@ -181,7 +200,7 @@ def _measure(config, tmp_path) -> dict:
         "warm_hits": warm_stats["hits"],
         "warm_misses": warm_stats["misses"],
         "cold_misses": cold_stats["misses"],
-        "parity": json.dumps(warm_records) == json.dumps(oracle_records),
+        "parity": warm_outputs == {json.dumps(oracle_records)},
         "sample_dial": _sample_dial_report(model),
         "cold_records": cold_records,
         "warm_records": warm_records,
@@ -199,7 +218,7 @@ def test_sketch_reannotation(benchmark, config, tmp_path):
     )
     assert result["warm_seconds"] <= MAX_WARM_FRACTION * result["cold_seconds"], (
         f"warm re-annotation cost {result['warm_seconds']:.2f}s vs "
-        f"{result['cold_seconds']:.2f}s cold "
+        f"{result['cold_seconds']:.2f}s cold over {result['pairs']} pairs "
         f"({result['warm_seconds'] / result['cold_seconds']:.0%}, "
         f"bound {MAX_WARM_FRACTION:.0%})"
     )
@@ -208,12 +227,14 @@ def test_sketch_reannotation(benchmark, config, tmp_path):
     lines = [
         f"tables: {result['n_tables']}  columns: {result['n_columns']}  "
         f"unchanged: {unchanged:.0%}",
+        f"cold/warm pairs: {result['pairs']} (cold and warm seconds summed; "
+        "store-off is one run)",
         f"{'run':<12} {'seconds':>9} {'speedup':>9}",
         f"{'cold':<12} {result['cold_seconds']:>9.2f} {'1.00x':>9}",
         f"{'warm':<12} {result['warm_seconds']:>9.2f} "
         f"{result['warm_speedup']:>8.2f}x",
         f"{'store-off':<12} {result['eager_seconds']:>9.2f} "
-        f"{result['cold_seconds'] / result['eager_seconds']:>8.2f}x",
+        f"{result['cold_seconds'] / result['pairs'] / result['eager_seconds']:>8.2f}x",
         "",
         "sample dial (eval suites, tiny preset):",
         f"{'setting':<12} {'seconds':>9} {'mean macro F1':>14}",
@@ -231,6 +252,7 @@ def test_sketch_reannotation(benchmark, config, tmp_path):
             "cold_seconds": result["cold_seconds"],
             "warm_seconds": result["warm_seconds"],
             "eager_seconds": result["eager_seconds"],
+            "pairs": result["pairs"],
             "n_tables": result["n_tables"],
             "n_columns": result["n_columns"],
             "changed_columns": result["changed_columns"],

@@ -15,8 +15,10 @@ bits as the per-value loop over the whole column, for every chunk size:
   (:mod:`repro.features.codepoints` classifies every character).  Per
   distinct value it counts tracked characters, their presence, the
   character classes, the length and the words, flags digits, letters and
-  upper case and parses the number, then multiplies each by the value's
-  multiplicity.  That is the exact integer state the
+  upper case, then multiplies each by the value's multiplicity.  It parses
+  only the number candidates the codepoint flags single out
+  (:func:`~repro.features.codepoints.value_facts`); every value the
+  number rule accepts is one.  That is the exact integer state the
   :class:`~repro.features.char_features.CharAccumulator` and
   :class:`~repro.features.stats_features.StatAccumulator` loops reach
   value by value, and it goes through the same finalize formulas;
@@ -127,16 +129,16 @@ class ColumnAccumulator:
         vocab_counts = np.zeros(n_vocab, dtype=np.int64)
         vocab_presence = np.zeros(n_vocab, dtype=np.int64)
         class_counts = np.zeros(4, dtype=np.int64)
-        kept_counts: list[int] = []
+        multiplicities: Counter[int] = Counter()
         numbers: list[tuple[float, int]] = []
         lengths: Counter[int] = Counter()
         word_counts: Counter[int] = Counter()
         n_missing = n_contains_digit = n_contains_alpha = n_all_upper = 0
         keys = iter(self.value_counts)
-        multiplicities = iter(self.value_counts.values())
+        counts = iter(self.value_counts.values())
         while values := list(islice(keys, _SLICE_VALUES)):
             n = len(values)
-            w = np.fromiter(islice(multiplicities, n), dtype=np.int64, count=n)
+            w = np.fromiter(islice(counts, n), dtype=np.int64, count=n)
             value_len, codes = decode(values)
             value_ids = np.repeat(np.arange(n), value_len)
             vocab_index, class_id, flags = _PROPS.lookup(codes)
@@ -158,18 +160,19 @@ class ColumnAccumulator:
             )
 
             # Stat group: empty and whitespace-only cells are missing.
-            kept, n_words, has_digit, has_alpha, is_upper = value_facts(
+            kept, n_words, has_digit, has_alpha, is_upper, candidate = value_facts(
                 value_len, value_ids, flags
             )
             kept_w = w[kept]
             n_missing += int(w[~kept].sum())
-            kept_counts += kept_w.tolist()
+            multiplicities.update(kept_w.tolist())
             lengths.update(_histogram(value_len[kept], kept_w))
             word_counts.update(_histogram(n_words[kept], kept_w))
             n_contains_digit += int(kept_w @ has_digit[kept])
             n_contains_alpha += int(kept_w @ has_alpha[kept])
             n_all_upper += int(kept_w @ is_upper[kept])
-            for value, count in zip(compress(values, kept.tolist()), kept_w.tolist()):
+            candidates = compress(values, candidate.tolist())
+            for value, count in zip(candidates, w[candidate].tolist()):
                 number = _try_parse_number(value)
                 if number is not None:
                     numbers.append((number, count))
@@ -180,7 +183,7 @@ class ColumnAccumulator:
         stat = stat_vector(
             n_values=sum(self.value_counts.values()),
             n_missing=n_missing,
-            value_counts=kept_counts,
+            multiplicities=multiplicities,
             numbers=numbers,
             lengths=lengths,
             word_counts=word_counts,

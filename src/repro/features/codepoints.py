@@ -17,6 +17,12 @@ as the largest codepoint seen.  :func:`value_facts` turns the flags of a
 pass's characters into what the Stat group asks of each value, for both
 passes.
 
+One flag, :data:`_FLAG_NUMBER`, marks the alphabet of the number rule
+(:func:`~repro.features.stats_features._try_parse_number`): a value with a
+digit and no character outside it is a number *candidate*, and only
+candidates are handed to ``float()``.  Every value the rule accepts is a
+candidate, so skipping the others changes no feature.
+
 Examples:
     >>> import numpy as np
     >>> lengths, codes = decode(["ab", "", "é"])
@@ -50,6 +56,16 @@ _FLAG_DIGIT = 2  # char.isdigit()
 _FLAG_ALPHA = 4  # char.isalpha()
 _FLAG_SPACE = 8  # char.isspace() (== str.strip() / str.split() whitespace)
 _FLAG_CASED = 16  # char.islower() or char.isupper() or char.istitle()
+_FLAG_NUMBER = 32  # char.isdecimal() or char.isspace() or char in _NUMBER_MARKS
+
+#: The characters besides decimal digits and whitespace that a number may
+#: hold: ``float()``'s sign, point, digit separator and exponent, and the
+#: ``,$%`` that :func:`~repro.features.stats_features._try_parse_number`
+#: removes before calling it.  ``float()`` maps every Unicode decimal digit
+#: and whitespace character to ASCII and rejects any other non-ASCII one;
+#: its other ASCII letters spell only infinities and NaN, which the rule's
+#: magnitude bound refuses.
+_NUMBER_MARKS = "+-._eE,$%"
 
 
 class _CharPropertyTable:
@@ -92,6 +108,8 @@ class _CharPropertyTable:
                 flags |= _FLAG_SPACE
             if char.islower() or char.isupper() or char.istitle():
                 flags |= _FLAG_CASED
+            if char.isdecimal() or char.isspace() or char in _NUMBER_MARKS:
+                flags |= _FLAG_NUMBER
             self.vocab_index[code] = _CHAR_INDEX.get(lowered, -1)
             self.class_id[code] = class_id
             self.flags[code] = flags
@@ -144,13 +162,16 @@ def decode(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def value_facts(
     value_len: np.ndarray, value_ids: np.ndarray, flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What the Stat group asks of each value, from its characters' flags.
 
     ``value_ids`` maps each character to its value.  Returns, per value:
     whether it is kept (``value.strip()`` is not empty), its word count
-    (``len(value.split())``), whether it has a digit and a letter, and
-    ``value.isupper()``.
+    (``len(value.split())``), whether it has a digit and a letter,
+    ``value.isupper()``, and whether it is a number candidate: kept, with
+    a digit and with every character in the :data:`_FLAG_NUMBER` alphabet.
+    Every value :func:`~repro.features.stats_features._try_parse_number`
+    accepts is a candidate.
     """
     n_values = len(value_len)
 
@@ -170,4 +191,5 @@ def value_facts(
     has_alpha = count((flags & _FLAG_ALPHA) > 0) > 0
     # str.isupper(): an upper-case character and none in lower or title case.
     is_upper = (count(upper) > 0) & (count(((flags & _FLAG_CASED) > 0) & ~upper) == 0)
-    return kept, words, has_digit, has_alpha, is_upper
+    candidate = kept & has_digit & (count((flags & _FLAG_NUMBER) == 0) == 0)
+    return kept, words, has_digit, has_alpha, is_upper, candidate

@@ -261,22 +261,6 @@ def _char_block(batch: _ValueBatch) -> np.ndarray:
 # Stat feature group, batched
 # --------------------------------------------------------------------------
 
-#: Bounded memo for string -> float parses (years, ids and ratings repeat
-#: heavily across columns, so parsing each distinct spelling once pays off).
-_PARSE_MEMO: dict[str, float | None] = {}
-_PARSE_MEMO_LIMIT = 1 << 17
-
-
-def _parse_number_memo(value: str) -> float | None:
-    try:
-        return _PARSE_MEMO[value]
-    except KeyError:
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
-            _PARSE_MEMO.clear()
-        parsed = _try_parse_number(value)
-        _PARSE_MEMO[value] = parsed
-        return parsed
-
 
 def stats_features_batch(value_lists: Sequence[Sequence[str]]) -> np.ndarray:
     """Stat feature vectors for many columns at once.
@@ -285,8 +269,8 @@ def stats_features_batch(value_lists: Sequence[Sequence[str]]) -> np.ndarray:
     :func:`~repro.features.stats_features.column_statistics` per column:
     lengths, word counts and per-value character flags come from the shared
     codepoint pass; min / max / median are one ``lexsort`` + fancy indexing;
-    numeric parsing is memoized across repeated spellings.  Matches the loop
-    oracle to floating-point round-off.
+    only the values the codepoint flags mark as number candidates are
+    parsed.  Matches the loop oracle to floating-point round-off.
 
     Examples:
         >>> import numpy as np
@@ -312,9 +296,8 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
     n_values_total = len(batch.values)
 
     # ---- per-value facts from the shared codepoint pass
-    keep, word_counts, contains_digit, contains_alpha, all_upper = value_facts(
-        batch.value_len, batch.value_ids, batch.flags
-    )
+    facts = value_facts(batch.value_len, batch.value_ids, batch.flags)
+    keep, word_counts, contains_digit, contains_alpha, all_upper, candidate = facts
     missing = ~keep  # the loop oracle's ``not (v and v.strip())`` selection
 
     # ---- per-column counts and fractions
@@ -349,13 +332,19 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
         np.bincount(kept_cols[all_upper[keep]], minlength=n_cols), n_kept
     )
 
-    # ---- one Python pass over kept values: numeric parse + value interning.
-    # Interning restarts per column (ids ordered by first occurrence within
-    # the column), so downstream reductions are independent of which other
-    # columns share the batch.
-    parsed = np.full(n_values_total, np.nan, dtype=np.float64)
-    keep_indices = np.nonzero(keep)[0]
+    # ---- numeric parse of the number candidates only.
     values = batch.values
+    parsed = np.full(n_values_total, np.nan, dtype=np.float64)
+    for index in np.flatnonzero(candidate).tolist():
+        number = _try_parse_number(values[index])
+        if number is not None:
+            parsed[index] = number
+
+    # ---- one Python pass over kept values: value interning.  Interning
+    # restarts per column (ids ordered by first occurrence within the
+    # column), so downstream reductions are independent of which other
+    # columns share the batch.
+    keep_indices = np.nonzero(keep)[0]
     col_of_value = batch.col_of_value
     intern_ids = np.empty(len(keep_indices), dtype=np.int64)
     intern_map: dict[str, int] = {}
@@ -363,9 +352,6 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
     current_col = -1
     for position, index in enumerate(keep_indices):
         value = values[index]
-        number = _parse_number_memo(value)
-        if number is not None:
-            parsed[index] = number
         if col_of_value[index] != current_col:
             current_col = col_of_value[index]
             if len(intern_map) > max_interned:
@@ -378,7 +364,7 @@ def _stats_block(batch: _ValueBatch) -> np.ndarray:
         intern_ids[position] = value_id
     if len(intern_map) > max_interned:
         max_interned = len(intern_map)
-    numeric_mask = keep & ~np.isnan(parsed)
+    numeric_mask = ~np.isnan(parsed)
     numbers = parsed[numeric_mask]
     number_cols = batch.col_of_value[numeric_mask]
     n_numbers, numeric_mean, numeric_std = _segment_mean_std(

@@ -10,19 +10,22 @@ count plus a ``Counter`` of the distinct kept values, and ``finalize``
 derives per distinct value, in a Python loop, the parsed number, the
 length, the word count and the digit/letter/upper-case flags, each
 weighted by the value's count.  :func:`stat_vector` is the one spelling
-of the 27 formulas over that exact integer state (weighted ``math.fsum``
-sums over the *sorted* distinct values), so where chunk boundaries fall
-cannot change the vector.  The streaming path derives the same state by
-a weighted NumPy codepoint pass
-(:meth:`~repro.features.accumulators.ColumnAccumulator.finalize`) and
-calls the same :func:`stat_vector`.  Memory is O(distinct kept values),
-not O(rows).
+of the 27 formulas over that exact integer state (integer sums and
+correctly rounded ``math.fsum`` sums, neither of which depends on the
+order of its terms), so where chunk boundaries fall cannot change the
+vector.  The streaming path derives the same state by a weighted NumPy
+codepoint pass
+(:meth:`~repro.features.accumulators.ColumnAccumulator.finalize`), which
+hands to :func:`_try_parse_number` only the values whose characters
+could spell a number, and calls the same :func:`stat_vector`.  Memory is
+O(distinct kept values), not O(rows).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +78,24 @@ _MAX_NUMBER = 1e100
 
 
 def _try_parse_number(value: str) -> float | None:
+    """The cell's number, or None: the number rule of the Stat group.
+
+    A cell is a number when ``float()`` accepts it after ``strip()`` and
+    after removing every ``,``, ``$`` and ``%``, and the result's magnitude
+    is at most :data:`_MAX_NUMBER`.  ``float()`` takes any Unicode decimal
+    digits and digit-separating underscores, so ``1_000``, Arabic-Indic
+    ``١٢٣`` and full-width ``１２`` are numbers, while ``1 000`` (an inner
+    space) and ``−5`` (U+2212 MINUS SIGN) are not.  The characters such a
+    cell can hold are the alphabet of the codepoint table's
+    :data:`~repro.features.codepoints._FLAG_NUMBER`, so a change to the
+    rule's spelling changes that one set of table entries.
+
+    Examples:
+        >>> [_try_parse_number(v) for v in ["$1,200.50", " 7 ", "1_000", "١٢٣"]]
+        [1200.5, 7.0, 1000.0, 123.0]
+        >>> [_try_parse_number(v) for v in ["1 000", "−5", "1e200", "nan", "x"]]
+        [None, None, None, None, None]
+    """
     text = value.strip().replace(",", "").replace("$", "").replace("%", "")
     if not text:
         return None
@@ -154,7 +175,7 @@ class StatAccumulator:
         return stat_vector(
             n_values=self.n_values,
             n_missing=self.n_missing,
-            value_counts=list(self.counter.values()),
+            multiplicities=Counter(self.counter.values()),
             numbers=numbers,
             lengths=lengths,
             word_counts=word_counts,
@@ -167,7 +188,7 @@ class StatAccumulator:
 def stat_vector(
     n_values: int,
     n_missing: int,
-    value_counts: list[int],
+    multiplicities: dict[int, int],
     numbers: list[tuple[float, int]],
     lengths: dict[int, int],
     word_counts: dict[int, int],
@@ -181,24 +202,33 @@ def stat_vector(
     :class:`StatAccumulator` loop and the weighted codepoint pass of
     :class:`~repro.features.accumulators.ColumnAccumulator`.  Every input
     is an exact integer count over the kept (non-missing) values:
-    ``value_counts`` per distinct value; ``numbers`` the parsed
-    ``(number, count)`` pairs in first-occurrence order; ``lengths`` and
-    ``word_counts`` histograms; and the value counts with a digit, with a
-    letter and in upper case.
+    ``multiplicities`` maps each count a distinct value reaches to how
+    many distinct values reach it; ``numbers`` holds the parsed
+    ``(number, count)`` pairs; ``lengths`` and ``word_counts`` are
+    histograms; and the value counts with a digit, with a letter and in
+    upper case.
+
+    Distinct values with the same count add the same entropy term, so the
+    term is computed once per multiplicity and ``math.fsum`` sums it that
+    many times: the same multiset of terms as one term per distinct value,
+    and ``fsum`` is correctly rounded, so the same bits.
     """
     if n_values == 0:
         return np.zeros(len(STAT_FEATURE_NAMES), dtype=np.float64)
 
     n_kept = n_values - n_missing
     frac_missing = n_missing / n_values
-    n_unique = len(value_counts)
+    n_unique = sum(multiplicities.values())
     total = max(1, n_kept)
     frac_unique = n_unique / total
-    if value_counts:
+    if multiplicities:
         entropy = -math.fsum(
-            (c / total) * math.log(c / total + 1e-12) for c in value_counts
+            chain.from_iterable(
+                repeat((c / total) * math.log(c / total + 1e-12), n_distinct)
+                for c, n_distinct in multiplicities.items()
+            )
         )
-        mode_frequency = max(value_counts) / total
+        mode_frequency = max(multiplicities) / total
     else:
         entropy = 0.0
         mode_frequency = 0.0

@@ -12,10 +12,36 @@ from repro.features import ColumnFeaturizer
 from repro.models import SatoConfig, SatoModel, TrainingConfig
 
 __all__ = [
+    "FLOAT_EDGE_PIECES",
     "TINY_TRAINING",
     "tiny_featurizer",
     "tiny_sato_config",
     "make_tiny_model",
+]
+
+
+#: Cells at the edge of the number rule's alphabet (what ``float()`` takes
+#: after ``strip()`` and removing ``,$%``): digit separators, Arabic-Indic
+#: and full-width digits, which parse; U+2212 MINUS SIGN, the full-width
+#: plus, a superscript two, a digit-free exponent, the infinity spellings,
+#: a bare exponent and an inner space, which do not; and a trailing U+3000
+#: that ``strip()`` removes.
+FLOAT_EDGE_PIECES = [
+    "1_000",
+    "١٢٣",
+    "１２",
+    "\u22125",
+    "＋1",
+    "1e5",
+    "E5",
+    "²",
+    "Infinity",
+    "-inf",
+    "+.5",
+    "5.",
+    "1e",
+    "1 000",
+    "7\u3000",
 ]
 
 

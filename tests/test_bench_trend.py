@@ -1,9 +1,10 @@
 """Units for the CI benchmark trend gate (``benchmarks/check_trend.py``).
 
 The script lives next to the benchmarks (it is tooling, not library code),
-so it is imported here by file path.  These tests cover the three
+so it is imported here by file path.  These tests cover the
 behaviours CI depends on: metric extraction against the committed baseline,
-history merging across runs, and the >30%-regression failure gate.
+history merging across runs, the >30%-regression failure gate, and results
+whose benchmark reports that its bar does not apply on the host.
 """
 
 from __future__ import annotations
@@ -115,6 +116,27 @@ class TestMain:
         status = check_trend.main(arguments)
         assert status == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gated", [True, False, None])
+    def test_floor_applies_only_where_the_bar_applied(
+        self, results_dir, tmp_path, gated
+    ):
+        """A result that reports ``"gated": false`` is recorded, not gated."""
+        payload = {"speedup": 0.5}  # far below beta's 3.0 baseline
+        if gated is not None:
+            payload["gated"] = gated
+        (results_dir / "beta.json").write_text(json.dumps(payload))
+        baseline_path = tmp_path / "baselines.json"
+        baseline_path.write_text(json.dumps(BASELINE))
+        history = tmp_path / "history.json"
+        arguments = ["--results-dir", str(results_dir)]
+        arguments += ["--baseline", str(baseline_path)]
+        arguments += ["--history", str(history), "--require-all"]
+        status = check_trend.main(arguments)
+        assert status == (0 if gated is False else 1)
+        entry = json.loads(history.read_text())[-1]
+        assert entry["metrics"]["beta.speedup"] == 0.5
+        assert entry["ungated"] == (["beta"] if gated is False else [])
 
     def test_missing_results_fail_only_with_require_all(self, tmp_path):
         baseline_path = tmp_path / "baselines.json"

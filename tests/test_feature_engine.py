@@ -31,7 +31,7 @@ from repro.serving import (
 import repro.tables.table as table_module
 from repro.tables import Column, Table
 
-from helpers import tiny_featurizer
+from helpers import FLOAT_EDGE_PIECES, tiny_featurizer
 
 RTOL, ATOL = 1e-6, 1e-9
 
@@ -47,6 +47,7 @@ EDGE_COLUMNS = [
     ["x"],
     ["emoji 🎉 mix 123", "line\nbreak", "  padded  "],
     ["a\ud800b", "lone\udfffsurrogate"],  # reachable via JSONL corpora
+    FLOAT_EDGE_PIECES,
 ]
 
 

@@ -1,11 +1,13 @@
 """Tests for the feature extraction modules."""
 
+import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.features import (
     CHAR_FEATURE_NAMES,
@@ -24,10 +26,14 @@ from repro.features.codepoints import (
     _CLASS_UNSET,
     _FLAG_ALPHA,
     _FLAG_CASED,
+    _FLAG_NUMBER,
     _FLAG_UPPER,
     _CharPropertyTable,
 )
+from repro.features.stats_features import _try_parse_number
 from repro.tables import Column, Table
+
+from helpers import FLOAT_EDGE_PIECES
 
 #: Finite numbers past the parse bound: one overflowed the squared
 #: deviations, the other the sums.
@@ -40,7 +46,8 @@ HUGE_NUMBER_COLUMNS = [
 #: blank cells (U+3000, U+001C and U+0085 are whitespace to ``str.strip``),
 #: a lone surrogate, case mappings that change a character's length or
 #: class ("İ" lowercases to two code points, "ǅ" is title case), wide and
-#: Arabic-Indic digits, and spellings at the edges of number parsing.
+#: Arabic-Indic digits, and spellings at the edges of number parsing and of
+#: its alphabet.
 BOUNDARY_PIECES = [
     "",
     " ",
@@ -62,6 +69,7 @@ BOUNDARY_PIECES = [
     "Q",
     "7",
     "x y",
+    *FLOAT_EDGE_PIECES,
 ]
 
 boundary_values = st.lists(st.sampled_from(BOUNDARY_PIECES), max_size=3).map("".join)
@@ -159,6 +167,18 @@ class TestStatFeatures:
         features = dict(zip(STAT_FEATURE_NAMES, column_statistics(["x", "x", "x"])))
         assert features["entropy"] == pytest.approx(0.0, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "7", " "]), max_size=80))
+    def test_entropy_is_one_term_per_distinct_value(self, values):
+        """One entropy term per multiplicity gives the per-value sum's bits."""
+        counts = Counter(value for value in values if value.strip())
+        total = max(1, sum(counts.values()))
+        entropy = -math.fsum(
+            (c / total) * math.log(c / total + 1e-12) for c in counts.values()
+        )
+        features = dict(zip(STAT_FEATURE_NAMES, column_statistics(values)))
+        assert features["entropy"] == np.sign(entropy) * np.log1p(abs(entropy))
+
     def test_currency_and_commas_parsed_as_numeric(self):
         features = dict(zip(STAT_FEATURE_NAMES, column_statistics(["$1,000", "$2,500"])))
         assert np.expm1(features["frac_numeric"]) == pytest.approx(1.0)
@@ -185,6 +205,7 @@ class TestCountedPass:
 
     @settings(max_examples=60, deadline=None)
     @given(boundary_columns())
+    @example(FLOAT_EDGE_PIECES + FLOAT_EDGE_PIECES[::2])
     def test_equals_the_loops_for_every_chunking(self, values):
         char = char_features(values)
         stat = column_statistics(values)
@@ -212,6 +233,25 @@ class TestCodepointTable:
         assert flags[0] == 0
         assert flags[1] == _FLAG_ALPHA | _FLAG_CASED
         assert not flags[1] & _FLAG_UPPER
+
+    def test_number_flag_is_the_number_rule_alphabet(self):
+        """Only flagged characters can be part of a cell that parses.
+
+        Over the Basic Multilingual Plane the flag is exactly the alphabet,
+        and an unflagged character makes the cell fail to parse alone,
+        before or after a digit, or between two.
+        """
+        _, _, flags = _CharPropertyTable().lookup(np.arange(0x10000))
+        wrong = []
+        for code, flagged in enumerate(((flags & _FLAG_NUMBER) > 0).tolist()):
+            char = chr(code)
+            if flagged != (char.isdecimal() or char.isspace() or char in "+-._eE,$%"):
+                wrong.append(f"U+{code:04X} flag")
+            elif not flagged:
+                for text in (char, "1" + char, char + "1", "1" + char + "1"):
+                    if _try_parse_number(text) is not None:
+                        wrong.append(f"U+{code:04X} parses in {text!r}")
+        assert not wrong, wrong[:5]
 
     def test_concurrent_growth_loses_no_codepoint(self):
         """Threads growing one table never see an unclassified codepoint."""
